@@ -68,8 +68,7 @@ class CaseSpec:
     vtq: Optional[VTQConfig] = None
     # Name-sorted ((field, value), ...) GPUConfig deltas for this point —
     # the hashable form of run_case's gpu_overrides (see
-    # repro.memtrace.safety.normalize_overrides).  Replay-safe deltas let
-    # the runner serve the point from a recorded memory trace.
+    # repro.experiments.runner.normalize_overrides).
     gpu_overrides: Optional[Tuple[Tuple[str, object], ...]] = None
 
     def label(self) -> str:
@@ -79,17 +78,6 @@ class CaseSpec:
                 f"{name}={value}" for name, value in self.gpu_overrides
             )
         return f"{self.scene}/{self.policy}{suffix}"
-
-
-def gpu_sweep_cases(
-    scene: str, policy: str, param: str, values: Sequence,
-    vtq: Optional[VTQConfig] = None,
-) -> List[CaseSpec]:
-    """One :class:`CaseSpec` per value of a single-axis GPU sweep."""
-    return [
-        CaseSpec(scene, policy, vtq, gpu_overrides=((param, value),))
-        for value in values
-    ]
 
 
 def jobs_from_env() -> int:

@@ -13,27 +13,11 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import VTQConfig
-from repro.experiments.runner import ExperimentContext, run_case, scene_and_bvh
-from repro.gpusim.config import ScaledSetup
-from repro.gpusim.stats import TraversalMode
-from repro.tracing import render_scene
+from repro.experiments.runner import ExperimentContext, run_case
 
 
-def _metrics_row(label: str, baseline_cycles: float, result) -> List[str]:
-    treelet_share = result.stats.mode_test_fractions()[
-        TraversalMode.TREELET_STATIONARY
-    ]
-    return [
-        label,
-        f"{result.cycles:,.0f}",
-        f"{baseline_cycles / result.cycles:.2f}x",
-        f"{result.stats.simt_efficiency():.2f}",
-        f"{treelet_share:.3f}",
-    ]
-
-
-def _metrics_row_from_dict(label: str, baseline_cycles: float, m: Dict) -> List[str]:
-    """The same row, built from a run_case metric dict."""
+def _metrics_row(label: str, baseline_cycles: float, m: Dict) -> List[str]:
+    """One table row from a run_case metric dict."""
     return [
         label,
         f"{m['cycles']:,.0f}",
@@ -61,14 +45,12 @@ def sweep_vtq_param(
     base = base or VTQConfig()
     if not hasattr(base, param):
         raise ValueError(f"VTQConfig has no field {param!r}")
-    setup = context.setup
-    scene, bvh = scene_and_bvh(scene_name, setup)
-    baseline = render_scene(scene, bvh, setup, policy="baseline")
+    baseline = run_case(scene_name, "baseline", context)
     rows = []
     for value in values:
         cfg = replace(base, **{param: value})
-        result = render_scene(scene, bvh, setup, policy="vtq", vtq_config=cfg)
-        rows.append(_metrics_row(str(value), baseline.cycles, result))
+        m = run_case(scene_name, "vtq", context, vtq=cfg)
+        rows.append(_metrics_row(str(value), baseline["cycles"], m))
     return {
         "title": f"VTQ sweep on {scene_name}: {param} in {list(values)}",
         "headers": _HEADERS,
@@ -85,59 +67,24 @@ def sweep_gpu_param(
 ) -> Dict:
     """Sweep one :class:`GPUConfig` field on one scene.
 
-    Each point re-renders the baseline too (the baseline changes with the
-    GPU), so the speedup column stays meaningful.
-
-    The axis is classified for replay safety
-    (:func:`repro.memtrace.safety.classify_axis`): a **replay-safe** axis
-    (cache geometry, latencies, DRAM timing — anything that only changes
-    what memory transactions *cost*) routes through
-    :func:`~repro.experiments.runner.run_case` with per-point GPU
-    overrides, where each policy's points are served by replaying one
-    recorded memory trace.  A **replay-unsafe** axis (anything that
-    changes the access stream itself) runs every point live, exactly as
-    before.
+    Every point is a :func:`~repro.experiments.runner.run_case` with the
+    value as a GPU override, so it equals a run whose context carried the
+    value directly (``l1_bytes`` resizes the treelets too).  Each point
+    re-runs the baseline as well (the baseline changes with the GPU), so
+    the speedup column stays meaningful.
     """
-    setup = context.setup
-    if not hasattr(setup.gpu, param):
+    if not hasattr(context.setup.gpu, param):
         raise ValueError(f"GPUConfig has no field {param!r}")
-    from repro.memtrace import classify_axis
-
-    if classify_axis(param) == "replay-safe":
-        rows = []
-        for value in values:
-            overrides = ((param, value),)
-            base = run_case(
-                scene_name, "baseline", context, gpu_overrides=overrides
-            )
-            m = (
-                base
-                if policy == "baseline"
-                else run_case(scene_name, policy, context, gpu_overrides=overrides)
-            )
-            rows.append(_metrics_row_from_dict(str(value), base["cycles"], m))
-        return {
-            "title": f"GPU sweep on {scene_name}: {param} in {list(values)} "
-            f"(policy {policy})",
-            "headers": _HEADERS,
-            "rows": rows,
-        }
-
-    scene, bvh = scene_and_bvh(scene_name, setup)
     rows = []
     for value in values:
-        gpu = replace(setup.gpu, **{param: value})
-        point = ScaledSetup(
-            gpu=gpu,
-            image_width=setup.image_width,
-            image_height=setup.image_height,
-            scene_scale=setup.scene_scale,
-            max_bounces=setup.max_bounces,
-            samples_per_pixel=setup.samples_per_pixel,
+        overrides = ((param, value),)
+        base = run_case(scene_name, "baseline", context, gpu_overrides=overrides)
+        m = (
+            base
+            if policy == "baseline"
+            else run_case(scene_name, policy, context, gpu_overrides=overrides)
         )
-        baseline = render_scene(scene, bvh, point, policy="baseline")
-        result = render_scene(scene, bvh, point, policy=policy)
-        rows.append(_metrics_row(str(value), baseline.cycles, result))
+        rows.append(_metrics_row(str(value), base["cycles"], m))
     return {
         "title": f"GPU sweep on {scene_name}: {param} in {list(values)} "
         f"(policy {policy})",
@@ -156,15 +103,7 @@ def sweep_scenes(
     for scene in context.scenes():
         base = run_case(scene, "baseline", context)
         m = run_case(scene, policy, context, vtq=vtq)
-        rows.append(
-            [
-                scene,
-                f"{m['cycles']:,.0f}",
-                f"{base['cycles'] / m['cycles']:.2f}x",
-                f"{m['simt_efficiency']:.2f}",
-                f"{m['mode_test_fractions']['treelet_stationary']:.3f}",
-            ]
-        )
+        rows.append(_metrics_row(scene, base["cycles"], m))
     return {
         "title": f"Per-scene summary (policy {policy})",
         "headers": ["scene"] + _HEADERS[1:],

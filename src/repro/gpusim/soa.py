@@ -70,10 +70,13 @@ def soa_engine_enabled() -> bool:
 
 def plan_cache_entries() -> int:
     """How many plans to keep per BVH (``REPRO_SOA_PLAN_CACHE``)."""
+    raw = os.environ.get("REPRO_SOA_PLAN_CACHE", "4")
     try:
-        return max(1, int(os.environ.get("REPRO_SOA_PLAN_CACHE", "4")))
+        return max(1, int(raw))
     except ValueError:
-        return 4
+        raise ValueError(
+            f"REPRO_SOA_PLAN_CACHE must be an integer, got {raw!r}"
+        ) from None
 
 
 class Trace:

@@ -1,10 +1,12 @@
-"""repro.memtrace — memory-trace capture & replay for fast cache sweeps.
+"""repro.memtrace — explicit memory-trace capture & replay.
 
 Record the memory transaction stream of one live render, then re-price
 it through freshly configured L1/L2/DRAM models to get full ``SimStats``
 for any memory-hierarchy-only configuration without re-running
-traversal.  See ``docs/MEMTRACE.md`` for the format, the replay-safety
-classification and the store layout.
+traversal.  An opt-in tool (``repro trace``, ``repro render
+--record-trace``): sweeps and cases never consult it.  See
+``docs/MEMTRACE.md`` for the format, the replay-safety rules and the
+store layout.
 """
 
 from repro.memtrace.format import (
@@ -20,15 +22,7 @@ from repro.memtrace.recorder import (
     trace_budget_bytes,
 )
 from repro.memtrace.replay import replay_trace
-from repro.memtrace.safety import (
-    CROSS_CONFIG_POLICIES,
-    REPLAY_SAFE_GPU_FIELDS,
-    classify_axis,
-    ensure_replayable,
-    normalize_overrides,
-    overrides_replay_safe,
-    sweep_point_kind,
-)
+from repro.memtrace.safety import REPLAY_SAFE_GPU_FIELDS, ensure_replayable
 from repro.memtrace.store import (
     ensure_trace,
     record_trace,
@@ -49,13 +43,8 @@ __all__ = [
     "TraceRecorder",
     "trace_budget_bytes",
     "replay_trace",
-    "CROSS_CONFIG_POLICIES",
     "REPLAY_SAFE_GPU_FIELDS",
-    "classify_axis",
     "ensure_replayable",
-    "normalize_overrides",
-    "overrides_replay_safe",
-    "sweep_point_kind",
     "ensure_trace",
     "record_trace",
     "store_trace",

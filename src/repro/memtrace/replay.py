@@ -54,7 +54,7 @@ from repro.memtrace.format import (
     SMTrace,
     apply_overlay,
 )
-from repro.memtrace.safety import ensure_replayable, normalize_overrides
+from repro.memtrace.safety import ensure_replayable
 
 
 class _ReplayPrefetcher:
@@ -321,6 +321,8 @@ def replay_trace(trace: MemTrace, gpu_overrides=None, *, record_obs: bool = True
     Raises :class:`TraceError` for partial traces, replay-unsafe
     overrides, or cross-config requests on a pinned (vtq) trace.
     """
+    from repro.experiments.runner import normalize_overrides
+
     started = time.perf_counter()
     meta = trace.meta
     overrides = dict(normalize_overrides(gpu_overrides))

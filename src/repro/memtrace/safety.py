@@ -1,4 +1,4 @@
-"""Which sweep axes a recorded trace can be replayed across, and why.
+"""Which configuration changes a recorded trace can be replayed across.
 
 A trace records the *memory transaction stream* of one live run.  That
 stream is a function of the traversal logic (purely functional in ray
@@ -32,12 +32,16 @@ Replay is exact across safe axes for **baseline** and **prefetch**
 (their scheduler is re-run from the recorded warp genealogy).  The vtq
 engine's phase schedule is timing-dependent, so its traces are pinned:
 replayable bit-for-bit at the recorded configuration only.
+
+:func:`ensure_replayable` is the one gate: ``repro trace replay`` and
+:func:`repro.memtrace.replay_trace` call it before re-pricing anything.
+Sweeps never consult it — they run every point live.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.errors import TraceError
 from repro.gpusim.config import GPUConfig
@@ -68,65 +72,9 @@ REPLAY_SAFE_GPU_FIELDS = frozenset(
 )
 
 #: Policies whose scheduler replay re-runs exactly across safe axes.
-CROSS_CONFIG_POLICIES = ("baseline", "prefetch")
+_CROSS_CONFIG_POLICIES = ("baseline", "prefetch")
 
 _GPU_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(GPUConfig))
-
-
-def classify_axis(field_name: str) -> str:
-    """``"replay-safe"`` or ``"replay-unsafe"`` for one GPUConfig field."""
-    if field_name not in _GPU_FIELD_NAMES:
-        raise TraceError(f"unknown GPUConfig field {field_name!r}")
-    return (
-        "replay-safe" if field_name in REPLAY_SAFE_GPU_FIELDS else "replay-unsafe"
-    )
-
-
-def _record_classification(result: str) -> None:
-    from repro.obs import registry as obs_registry
-
-    obs_registry().counter(
-        "repro_memtrace_classifications_total",
-        "Sweep-point replay-safety classifications by outcome.",
-        ("result",),
-    ).labels(result=result).inc()
-
-
-def overrides_replay_safe(policy: str, overrides: Mapping[str, object]) -> bool:
-    """Whether a sweep point (policy + GPU overrides) is replay-eligible.
-
-    Records the decision in the ``repro_memtrace_classifications_total``
-    observability counter.  Unknown fields classify as unsafe here (the
-    live path will surface the real error).
-    """
-    if policy not in CROSS_CONFIG_POLICIES:
-        _record_classification("unsafe-policy")
-        return False
-    for name in overrides:
-        if name not in _GPU_FIELD_NAMES or name not in REPLAY_SAFE_GPU_FIELDS:
-            _record_classification("unsafe-axis")
-            return False
-    _record_classification("safe")
-    return True
-
-
-def sweep_point_kind(
-    policy: str,
-    gpu_overrides: Mapping[str, object],
-    vtq_overrides: Mapping[str, object] = (),
-) -> str:
-    """``"replay"`` or ``"live"`` for one sweep grid point.
-
-    The surrogate's exact-run ledger (docs/SURROGATE.md) budgets by this
-    split: VTQ axes always feed the stream, a point with no GPU
-    overrides has no recorded-trace delta to re-price, and everything
-    else defers to :func:`overrides_replay_safe`.
-    """
-    if vtq_overrides:
-        return "live"
-    if not gpu_overrides:
-        return "live"
-    return "replay" if overrides_replay_safe(policy, dict(gpu_overrides)) else "live"
 
 
 def ensure_replayable(meta: Dict, overrides: Mapping[str, object]) -> None:
@@ -152,7 +100,7 @@ def ensure_replayable(meta: Dict, overrides: Mapping[str, object]) -> None:
     for name in overrides:
         if name not in _GPU_FIELD_NAMES:
             raise TraceError(f"unknown GPUConfig field {name!r}")
-    if policy not in CROSS_CONFIG_POLICIES:
+    if policy not in _CROSS_CONFIG_POLICIES:
         if changed:
             raise TraceError(
                 f"{policy!r} traces are pinned to the recorded schedule and "
@@ -167,17 +115,3 @@ def ensure_replayable(meta: Dict, overrides: Mapping[str, object]) -> None:
             f"fields {sorted(unsafe)} are replay-unsafe (they change the "
             f"memory access stream, not just its cost); run those points live"
         )
-
-
-def normalize_overrides(overrides) -> Tuple[Tuple[str, object], ...]:
-    """Canonical hashable form: a name-sorted tuple of (field, value) pairs.
-
-    Accepts a mapping, an iterable of pairs, or ``None``.
-    """
-    if not overrides:
-        return ()
-    if isinstance(overrides, Mapping):
-        items = overrides.items()
-    else:
-        items = list(overrides)
-    return tuple(sorted((str(name), value) for name, value in items))

@@ -184,11 +184,10 @@ class ServiceClient:
         (``ServiceUnavailable``, or an ``AdmissionRejected`` carrying a
         ``retry_after_s`` hint) is safe to resubmit; anything else means
         the outcome is unknown or the rejection is a policy decision.
-        ``kind="replay"`` asks for the trace-replay path and is rejected
-        at admission unless ``gpu_overrides`` is replay-eligible for the
-        policy (docs/MEMTRACE.md).  ``kind="pareto"`` runs a whole
-        surrogate-priced frontier sweep; ``params`` carries its
-        ``run_pareto`` keyword arguments (validated at admission).
+        ``gpu_overrides`` applies GPUConfig deltas to the case.
+        ``kind="pareto"`` runs a whole surrogate-priced frontier sweep;
+        ``params`` carries its ``run_pareto`` keyword arguments
+        (validated at admission).
         """
         payload = {
             "op": "submit",

@@ -21,6 +21,7 @@ one is safe and usually a cache hit).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 import uuid
@@ -31,6 +32,8 @@ from typing import Dict, List, Optional
 from repro.core.config import VTQConfig
 from repro.errors import ServiceError
 from repro.experiments.parallel import CaseSpec
+
+logger = logging.getLogger("repro.service.jobs")
 
 RECORD_VERSION = "1"
 
@@ -43,13 +46,11 @@ CANCELLED = "cancelled"
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
-# ``case`` jobs may run live or replay-substitute as the runner sees fit;
-# ``replay`` jobs are admission-checked to be replay-eligible up front
-# (cross-config-safe policy, replay-safe GPU overrides) so a client can
-# rely on the cheap path.  ``pareto`` jobs run a whole surrogate-priced
-# frontier sweep (``repro.surrogate.run_pareto``) for the spec's
-# scene/policy; the grid and budget live in ``Job.params``.
-KINDS = ("case", "replay", "pareto")
+# ``case`` jobs run one case (with any GPU overrides) through
+# ``run_case``.  ``pareto`` jobs run a whole surrogate-priced frontier
+# sweep (``repro.surrogate.run_pareto``) for the spec's scene/policy; the
+# grid and budget live in ``Job.params``.
+KINDS = ("case", "pareto")
 
 
 def spec_to_dict(spec: CaseSpec) -> Dict:
@@ -88,8 +89,7 @@ class Job:
     job_id: str
     client_id: str
     spec: CaseSpec
-    # "case" (run live or replay-substituted) or "replay" (admission
-    # guarantees the spec is replay-eligible; see KINDS).
+    # "case" or "pareto" (see KINDS).
     kind: str = "case"
     priority: int = 0
     # Wall-clock seconds from submission the job may take, end to end;
@@ -105,7 +105,7 @@ class Job:
     dispatch_index: Optional[int] = None
     # Kind-specific knobs: for ``pareto`` jobs, keyword arguments for
     # ``run_pareto`` (grid axes/values, error bound, budget, seed, ...)
-    # validated at admission; ``None`` for plain case/replay jobs.
+    # validated at admission; ``None`` for case jobs.
     params: Optional[Dict] = None
     result: Optional[Dict] = None
     error: Optional[Dict] = None
@@ -244,16 +244,17 @@ class JobStore:
         """Every readable job record, oldest submission first.
 
         An unreadable record (torn by a crash mid-rename on exotic
-        filesystems, or hand-damaged) is skipped, never fatal — the
-        server must come back up with whatever is intact.
+        filesystems, hand-damaged, or of a job kind this version no
+        longer runs) is logged with its reason and skipped, never fatal —
+        the server must come back up with whatever is intact.
         """
         jobs = []
         for path in sorted(self.root.glob("*.json")):
             try:
                 with open(path) as handle:
                     jobs.append(Job.from_record(json.load(handle)))
-            except (OSError, json.JSONDecodeError, ServiceError):
-                continue
+            except (OSError, json.JSONDecodeError, ServiceError) as exc:
+                logger.warning("skipping job record %s: %s", path, exc)
         jobs.sort(key=lambda job: (job.submitted_at, job.job_id))
         return jobs
 

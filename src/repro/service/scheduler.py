@@ -20,10 +20,6 @@ What the serving layer adds on top:
   the case budget via :func:`repro.gpusim.budget.merge_wall_budget`;
   an overrun surfaces as ``BudgetExceeded`` in the job record exactly
   like any budget trip.
-* **Replay jobs** — a job admitted with ``kind="replay"`` carries
-  replay-safe GPU overrides (validated at admission), so the worker's
-  ``run_case`` serves it from a recorded memory trace instead of a live
-  simulation (docs/MEMTRACE.md); dispatch itself is identical.
 * **Crash retry** — a worker process dying (or the pool breaking) is
   retried on a fresh pool under the unified
   :class:`repro.resilience.RetryPolicy` (``retries`` extra attempts,
@@ -413,10 +409,6 @@ class Scheduler:
         job.state = jobstates.RUNNING
         job.started_at = time.time()
         self.store.save(job)
-        # A "replay" job is a normal case dispatch: admission already
-        # guaranteed its (policy, gpu_overrides) point is replay-eligible,
-        # so the runner will serve it from a recorded memory trace (one
-        # live recording per group, then replays; docs/MEMTRACE.md).
         obs_registry().counter(
             "repro_service_jobs_dispatched_total",
             "Jobs dispatched to workers, by kind",

@@ -3,9 +3,8 @@
 The engine prices a full cache-size x queue-size grid with two
 surrogates (one for the policy under study, one for the baseline it is
 measured against), walks the predicted speedup-vs-cost Pareto frontier,
-and then **verifies every reported frontier point with an exact run** —
-memtrace replay where the point is replay-safe, a live SoA run
-otherwise.  Reported frontier values are always the exact ones; the
+and then **verifies every reported frontier point with an exact
+run**.  Reported frontier values are always the exact ones; the
 surrogate's job is only to decide *which* of the hundreds of grid points
 deserve a simulation.
 
@@ -404,7 +403,6 @@ def run_pareto(
             "speedup_vs_ref": float(exact_ref_speedup[i]),
             "predicted_speedup_vs_ref": float(predicted_speedup[i]),
             "verified": True,
-            "kind": runner.point_kind(grid[i]),
             # The same-cache baseline behind "speedup" may itself be
             # surrogate-priced; the frontier gain never is.
             "baseline_exact": base_runner.known(

@@ -1,4 +1,5 @@
-"""The bench harness: report naming and the surrogate-sweep phase."""
+"""The bench harness: report naming, the serial/parallel sweep legs and
+the surrogate-sweep phase."""
 
 import importlib.util
 from pathlib import Path
@@ -33,6 +34,26 @@ class TestDefaultOutputPath:
         (tmp_path / "BENCH_2026-08-05.json").write_text("{}")
         path = bench.default_output_path("2026-08-06", tmp_path)
         assert path == tmp_path / "BENCH_2026-08-06.json"
+
+
+class TestSerialSweepPhase:
+    def test_engine_legs(self):
+        """The serial sweep times the two engines and nothing else."""
+        from repro.experiments.parallel import CaseSpec
+        from repro.experiments.runner import default_context
+
+        bench = _load_bench()
+        row = bench.bench_serial(
+            default_context(fast=True), [CaseSpec("BUNNY", "baseline")], 1
+        )
+        assert set(row) == {"scalar", "soa", "soa_speedup"}
+        assert row["soa_speedup"] == row["scalar"]["wall_s"] / row["soa"]["wall_s"]
+
+    def test_parallel_speedup_is_against_the_serial_soa_leg(self):
+        bench = _load_bench()
+        serial = {"scalar": {"wall_s": 8.0}, "soa": {"wall_s": 2.0}}
+        assert bench.speedup_vs_serial(serial, 0.5, cpu_count=2) == 4.0
+        assert bench.speedup_vs_serial(serial, 0.5, cpu_count=1) is None
 
 
 class TestSurrogateSweepPhase:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import ExperimentContext, run_case
 from repro.experiments import default_context
 from repro.experiments.sweeps import (
     sweep_gpu_param,
@@ -53,6 +53,26 @@ class TestGPUSweep:
         small = float(out["rows"][0][1].replace(",", ""))
         large = float(out["rows"][1][1].replace(",", ""))
         assert large <= small * 1.05
+
+    def test_l1_points_equal_run_case(self, ctx):
+        # l1_bytes sets the treelet budget (half of L1), so each point
+        # needs its own BVH; with the default-L1 BVH, BUNNY/vtq at 1 KiB
+        # reads 28,237 cycles instead of 25,308.
+        values = [1024, 4096]
+        out = sweep_gpu_param("BUNNY", ctx, "l1_bytes", values, policy="vtq")
+        rows = []
+        for value in values:
+            overrides = {"l1_bytes": value}
+            b = run_case("BUNNY", "baseline", ctx, gpu_overrides=overrides)
+            m = run_case("BUNNY", "vtq", ctx, gpu_overrides=overrides)
+            rows.append([
+                str(value),
+                f"{m['cycles']:,.0f}",
+                f"{b['cycles'] / m['cycles']:.2f}x",
+                f"{m['simt_efficiency']:.2f}",
+                f"{m['mode_test_fractions']['treelet_stationary']:.3f}",
+            ])
+        assert out["rows"] == rows
 
 
 class TestSceneSweep:

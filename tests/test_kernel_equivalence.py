@@ -1,9 +1,10 @@
 """Batch intersection kernels must be bit-identical to the scalar loops.
 
-The vectorized warp-step path (:mod:`repro.geometry.batch` plus the
-``*_batch`` helpers in :mod:`repro.bvh.traversal`) may interchange with
-the scalar reference mid-simulation, so the contract is exact float
-equality — not approximate agreement.  These tests exercise the kernels
+The SoA render-plan builder uses the vectorized kernels
+(:mod:`repro.geometry.batch` plus the ``*_batch`` helpers in
+:mod:`repro.bvh.traversal`) where the scalar engines step one lane at a
+time, and the two engines must agree bit for bit, so the contract is
+exact float equality — not approximate agreement.  These tests exercise the kernels
 property-style against scalar re-implementations and against the real
 traversal code on real BVHs, including the awkward inputs: axis-parallel
 rays, degenerate triangles and tight ``t``-window clipping.
@@ -490,7 +491,8 @@ def _drain(bvh, states, use_batch, min_groups):
 @pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
 @pytest.mark.parametrize("min_groups", [0, 1_000_000])
 class TestTraversalEquivalence:
-    """Full traversals agree exactly between scalar and batch warp steps.
+    """Full traversals agree exactly between ``single_step`` and the batch
+    helpers.
 
     ``min_groups=0`` forces every group through the numpy kernels;
     ``min_groups=1_000_000`` forces the scalar fallback inside the batch
@@ -525,7 +527,8 @@ class TestTraversalEquivalence:
 @pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
 @pytest.mark.parametrize("min_groups", [0, 1_000_000])
 class TestGaussianTraversalEquivalence:
-    """Splat traversals agree exactly between scalar and batch warp steps.
+    """Splat traversals agree exactly between ``single_step`` and the batch
+    helpers.
 
     Same contract as :class:`TestTraversalEquivalence`, over a BVH whose
     leaves hold gaussian rows instead of triangles — ``single_step``
@@ -559,53 +562,3 @@ class TestGaussianTraversalEquivalence:
             assert a.leaf_visits == b.leaf_visits
             assert a.triangle_tests == b.triangle_tests
             assert a.culled == b.culled
-
-
-def test_end_to_end_render_identical():
-    """A full simulated render is byte-identical scalar vs batch."""
-    import json
-
-    from repro.experiments import runner
-    from repro.gpusim import set_batch_kernels
-
-    context = runner.default_context(fast=True)
-    context = runner.ExperimentContext(
-        setup=context.setup,
-        scene_list=context.scene_list,
-        use_disk_cache=False,
-        budget=context.budget,
-        sanitize=context.sanitize,
-    )
-    previous = set_batch_kernels(False)
-    try:
-        scalar = runner.run_case("BUNNY", "sorted", context, vtq=None)
-        set_batch_kernels(True)
-        batch = runner.run_case("BUNNY", "sorted", context, vtq=None)
-    finally:
-        set_batch_kernels(previous)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(batch, sort_keys=True)
-
-
-def test_end_to_end_gaussian_render_identical():
-    """A full simulated splat render is byte-identical scalar vs batch."""
-    import json
-
-    from repro.experiments import runner
-    from repro.gpusim import set_batch_kernels
-
-    context = runner.default_context(fast=True)
-    context = runner.ExperimentContext(
-        setup=context.setup,
-        scene_list=context.scene_list,
-        use_disk_cache=False,
-        budget=context.budget,
-        sanitize=context.sanitize,
-    )
-    previous = set_batch_kernels(False)
-    try:
-        scalar = runner.run_case("GSPL1", "baseline", context, vtq=None)
-        set_batch_kernels(True)
-        batch = runner.run_case("GSPL1", "baseline", context, vtq=None)
-    finally:
-        set_batch_kernels(previous)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(batch, sort_keys=True)

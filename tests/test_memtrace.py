@@ -8,6 +8,7 @@ The load-bearing guarantees:
   bit-for-bit for every recordable policy on multiple scenes;
 * a cross-config replay (baseline/prefetch, replay-safe overrides)
   equals a fresh live run at that configuration exactly;
+* GPU-override sweep points never consult the trace store;
 * replay-unsafe requests are refused with a typed error, never served
   approximately;
 * a damaged or over-budget trace surfaces as a typed error and the
@@ -23,16 +24,14 @@ from repro.errors import TraceBudgetExceeded, TraceError
 from repro.experiments import default_context
 from repro.experiments.runner import (
     ExperimentContext,
+    normalize_overrides,
     run_case,
     scene_and_bvh,
 )
 from repro.gpusim.config import ScaledSetup
 from repro.memtrace import (
-    classify_axis,
     ensure_trace,
     load_trace,
-    normalize_overrides,
-    overrides_replay_safe,
     replay_trace,
     save_trace,
     trace_file_info,
@@ -140,22 +139,6 @@ class TestCrossConfigReplay:
 
 
 class TestSafetyClassification:
-    def test_classify_axis(self):
-        assert classify_axis("l2_bytes") == "replay-safe"
-        assert classify_axis("dram_latency") == "replay-safe"
-        assert classify_axis("l1_bytes") == "replay-unsafe"
-        assert classify_axis("num_sms") == "replay-unsafe"
-        with pytest.raises(TraceError):
-            classify_axis("not_a_field")
-
-    def test_overrides_replay_safe(self):
-        assert overrides_replay_safe("baseline", {"l2_bytes": 1 << 20})
-        assert overrides_replay_safe("prefetch", {"l2_latency": 60.0})
-        assert not overrides_replay_safe("vtq", {"l2_bytes": 1 << 20})
-        assert not overrides_replay_safe("sorted", {"l2_bytes": 1 << 20})
-        assert not overrides_replay_safe("baseline", {"l1_bytes": 4096})
-        assert not overrides_replay_safe("baseline", {"bogus": 1})
-
     def test_normalize_overrides(self):
         pairs = normalize_overrides({"b": 2, "a": 1})
         assert pairs == (("a", 1), ("b", 2))
@@ -271,8 +254,28 @@ class TestTraceFileInfo:
         assert trace_file_info(path)["kind"] == "unknown"
 
 
+def _table_row(label, baseline_cycles, m):
+    """A sweep table row, formatted independently of repro.experiments."""
+    return [
+        label,
+        f"{m['cycles']:,.0f}",
+        f"{baseline_cycles / m['cycles']:.2f}x",
+        f"{m['simt_efficiency']:.2f}",
+        f"{m['mode_test_fractions']['treelet_stationary']:.3f}",
+    ]
+
+
+def _trace_store_empty():
+    from repro.memtrace import trace_dir
+
+    directory = trace_dir()
+    return not directory.exists() or not any(directory.iterdir())
+
+
 class TestSweepIntegration:
-    """Replay-substituted sweeps must be indistinguishable from live ones."""
+    """A GPU-override point is an ordinary live run: it equals a run whose
+    context carries the value directly, and it never touches the trace
+    store (sweeps do not consult memtrace)."""
 
     @pytest.fixture
     def cached(self, ctx, tmp_path, monkeypatch):
@@ -284,39 +287,43 @@ class TestSweepIntegration:
             setup=ctx.setup, scene_list=ctx.scene_list, use_disk_cache=True
         )
 
-    def test_run_case_replay_matches_live(self, cached, monkeypatch):
-        overrides = (("l2_bytes", 4 * 1024 * 1024),)
-        replayed = run_case(
-            "BUNNY", "prefetch", cached, gpu_overrides=overrides
+    @pytest.mark.parametrize("scene_name", ["BUNNY", "GSPL1"])
+    @pytest.mark.parametrize("policy", ["baseline", "prefetch", "vtq"])
+    @pytest.mark.parametrize(
+        "field_name,value",
+        [("l2_bytes", 4 * 1024 * 1024), ("dram_latency", 500.0), ("l1_bytes", 4096)],
+    )
+    def test_override_point_matches_direct_context(
+        self, ctx, tmp_path, monkeypatch, scene_name, policy, field_name, value
+    ):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        overridden = run_case(
+            scene_name, policy, ctx, gpu_overrides={field_name: value}
         )
-        monkeypatch.setenv("REPRO_MEMTRACE_SWEEPS", "0")
-        from repro.experiments import runner
-
-        monkeypatch.setattr(
-            runner, "_CACHE_DIR", runner._CACHE_DIR / "live-only"
+        direct = dataclasses.replace(
+            ctx, setup=_override_setup(ctx.setup, ((field_name, value),))
         )
-        live = run_case("BUNNY", "prefetch", cached, gpu_overrides=overrides)
-        # Exact dict equality: same keys, same values — a replayed case
-        # is interchangeable with a live one everywhere downstream.
-        assert replayed == live
+        # Exact dict equality: same keys, same values.
+        assert overridden == run_case(scene_name, policy, direct)
+        assert _trace_store_empty()
 
-    def test_sweep_gpu_param_tables_match(self, cached, monkeypatch):
+    def test_sweep_gpu_param_tables_match(self, ctx, cached):
         from repro.experiments.sweeps import sweep_gpu_param
 
         values = [1 * 1024 * 1024, 4 * 1024 * 1024]
-        with_replay = sweep_gpu_param(
+        table = sweep_gpu_param(
             "BUNNY", cached, "l2_bytes", values, policy="prefetch"
         )
-        monkeypatch.setenv("REPRO_MEMTRACE_SWEEPS", "0")
-        from repro.experiments import runner
-
-        monkeypatch.setattr(
-            runner, "_CACHE_DIR", runner._CACHE_DIR / "live-only"
-        )
-        all_live = sweep_gpu_param(
-            "BUNNY", cached, "l2_bytes", values, policy="prefetch"
-        )
-        assert with_replay == all_live
+        rows = []
+        for value in values:
+            direct = dataclasses.replace(
+                ctx, setup=_override_setup(ctx.setup, (("l2_bytes", value),))
+            )
+            base = run_case("BUNNY", "baseline", direct)
+            m = run_case("BUNNY", "prefetch", direct)
+            rows.append(_table_row(str(value), base["cycles"], m))
+        assert table["rows"] == rows
+        assert _trace_store_empty()
 
     def test_unsafe_axis_sweeps_live(self, cached):
         from repro.experiments.sweeps import sweep_gpu_param
@@ -325,17 +332,15 @@ class TestSweepIntegration:
             "BUNNY", cached, "l1_bytes", [8192, 16384], policy="baseline"
         )
         assert len(table["rows"]) == 2
-        # No trace was recorded for an unsafe axis.
-        from repro.memtrace import trace_dir
+        assert _trace_store_empty()
 
-        assert not list(trace_dir().glob("*.memtrace"))
+    def test_override_specs_through_run_cases(self, cached):
+        from repro.experiments.parallel import CaseSpec, run_cases
 
-    def test_gpu_sweep_cases_through_run_cases(self, cached):
-        from repro.experiments.parallel import gpu_sweep_cases, run_cases
-
-        specs = gpu_sweep_cases(
-            "BUNNY", "baseline", "l2_latency", [20.0, 60.0]
-        )
+        specs = [
+            CaseSpec("BUNNY", "baseline", gpu_overrides=(("l2_latency", v),))
+            for v in (20.0, 60.0)
+        ]
         assert [s.label() for s in specs] == [
             "BUNNY/baseline+l2_latency=20.0",
             "BUNNY/baseline+l2_latency=60.0",
@@ -344,6 +349,7 @@ class TestSweepIntegration:
         metrics = [m for m, failure in results if failure is None]
         assert len(metrics) == 2
         assert metrics[0]["cycles"] != metrics[1]["cycles"]
+        assert _trace_store_empty()
 
 
 class TestCLI:

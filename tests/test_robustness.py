@@ -317,6 +317,12 @@ class TestSceneCacheLRU:
         assert builds == ["A", "B", "C", "B"]
 
 
+    def test_garbage_limit_is_refused(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCENE_CACHE_ENTRIES", "abc")
+        with pytest.raises(ValueError, match="REPRO_SCENE_CACHE_ENTRIES.*'abc'"):
+            runner._scene_cache_limit()
+
+
 class TestSanitizer:
     @pytest.mark.parametrize("policy", ("baseline", "prefetch", "sorted", "vtq"))
     def test_clean_render_passes_all_checks(self, ctx, policy):

@@ -91,6 +91,31 @@ class TestJobStore:
         listed = store.list()
         assert [j.job_id for j in listed] == [good.job_id]
 
+    def test_list_logs_skipped_records(self, tmp_path, caplog):
+        store = JobStore(tmp_path)
+        good = make_job()
+        store.save(good)
+        # A spool written by a version that still had the "replay" kind.
+        record = make_job().to_record()
+        record["kind"] = "replay"
+        record["spec"]["gpu_overrides"] = [["l2_bytes", 1048576]]
+        old = tmp_path / f"{record['job_id']}.json"
+        old.write_text(json.dumps(record))
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"version": "1", "job_')
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            listed = store.list()
+        assert [j.job_id for j in listed] == [good.job_id]
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(str(old) in m and "unknown kind 'replay'" in m
+                   for m in messages)
+        assert any(str(torn) in m for m in messages)
+
+    def test_kinds(self):
+        assert jobstates.KINDS == ("case", "pareto")
+        with pytest.raises(ServiceError, match="unknown job kind"):
+            make_job(kind="replay")
+
     def test_init_sweeps_orphaned_tmp_files(self, tmp_path):
         # Simulate a crash between the tmp write and os.replace: the
         # spool holds a completed record plus leaked ``.json.tmp`` files

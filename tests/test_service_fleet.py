@@ -79,7 +79,10 @@ class TestResultCache:
             result_key("case", spec, ctx),
             result_key("case", CaseSpec("SPNZA", "baseline"), ctx),
             result_key("case", CaseSpec("BUNNY", "vtq"), ctx),
-            result_key("replay", spec, ctx),
+            result_key(
+                "case", CaseSpec("BUNNY", "baseline",
+                                 gpu_overrides=(("l2_bytes", 1 << 20),)), ctx
+            ),
             result_key("pareto", spec, ctx, params={"budget_axis": [1.0]}),
         }
         assert len(distinct) == 5

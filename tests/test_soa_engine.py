@@ -203,6 +203,15 @@ class TestPlanCache:
         again = get_plan(scene, bvh, ctx.setup)
         assert first is again
 
+    def test_plan_cache_knob_rejects_garbage(self, monkeypatch):
+        from repro.gpusim.soa import plan_cache_entries
+
+        monkeypatch.setenv("REPRO_SOA_PLAN_CACHE", "abc")
+        with pytest.raises(ValueError, match="REPRO_SOA_PLAN_CACHE.*'abc'"):
+            plan_cache_entries()
+        monkeypatch.setenv("REPRO_SOA_PLAN_CACHE", "2")
+        assert plan_cache_entries() == 2
+
     def test_plan_keyed_on_render_parameters(self, ctx):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         base = get_plan(scene, bvh, ctx.setup)

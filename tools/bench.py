@@ -4,10 +4,10 @@
 Times a fixed sweep of fast-scene cases through four phases —
 
 * ``bvh_build``      — cold scene + BVH construction per scene,
-* ``kernel``         — warp-inner-loop intersection math, scalar loops vs
+* ``kernel``         — render-plan intersection math, scalar loops vs
                        the vectorized batch kernels, at several batch sizes,
 * ``serial_sweep``   — the case list end-to-end in one process (scalar
-                       kernels vs batch kernels vs the SoA replay engine),
+                       engines vs the SoA replay engine),
 * ``soa_sweep``      — the SoA engine's end-to-end speedup over the
                        scalar engines on the same serial sweep,
 * ``parallel_sweep`` — the same list through the parallel executor
@@ -27,7 +27,8 @@ Times a fixed sweep of fast-scene cases through four phases —
                        the policy table reports,
 
 and writes ``BENCH_<date>.json`` with per-phase wall time, cases/sec and
-speedups (batch vs scalar, parallel vs serial, replay vs live).  Run
+speedups (batch kernels vs scalar loops, SoA vs scalar engines,
+parallel vs serial SoA, replay vs live).  Run
 from the repository root:
 
     PYTHONPATH=src python tools/bench.py --fast
@@ -59,7 +60,7 @@ from repro.geometry.batch import (  # noqa: E402
     intersect_tri_batch,
     safe_inverse,
 )
-from repro.gpusim import set_batch_kernels, set_soa_engine  # noqa: E402
+from repro.gpusim import set_soa_engine  # noqa: E402
 
 
 def _case_list(fast: bool):
@@ -172,11 +173,11 @@ def _best_of(fn, reps):
 
 
 def bench_kernels(reps=5):
-    """Scalar loops vs batch kernels on the warp-inner-loop math.
+    """Scalar loops vs batch kernels on the render-plan intersection math.
 
     Sizes cover one warp popping 4-wide nodes (128 pairings) up to a
-    node-table-sized gather: this is the speedup the vectorized warp
-    step taps, isolated from the memory/timing model around it.
+    node-table-sized gather: this is the speedup the SoA plan builder
+    taps, isolated from the memory/timing model around it.
     """
     rng = np.random.default_rng(42)
     out = {}
@@ -222,13 +223,13 @@ def bench_kernels(reps=5):
 
 
 def bench_serial(context, specs, reps):
-    """The sweep in-process: scalar kernels, batch kernels, SoA replay.
+    """The sweep in-process: scalar engines, then SoA replay.
 
-    All three labels produce bit-identical results (enforced by
-    tests/test_kernel_equivalence.py and tests/test_soa_engine.py); only
-    wall clock differs.  The "soa" label is the steady-state replay rate
-    — the warm-up sweep builds the render plans, so best-of reps measures
-    plan reuse, which is how sweeps amortize the plan cost in practice.
+    Both labels produce bit-identical results (enforced by
+    tests/test_soa_engine.py); only wall clock differs.  The "soa" label
+    is the steady-state replay rate — the warm-up sweep builds the render
+    plans, so best-of reps measures plan reuse, which is how sweeps
+    amortize the plan cost in practice.
     """
     nocache = _nocache(context)
 
@@ -238,25 +239,30 @@ def bench_serial(context, specs, reps):
 
     sweep()  # warm the per-process scene cache (and the SoA plan cache)
     out = {}
-    for label, batch, soa in (
-        ("scalar", False, False),
-        ("batch", True, False),
-        ("soa", True, True),
-    ):
-        prev_batch = set_batch_kernels(batch)
+    for label, soa in (("scalar", False), ("soa", True)):
         prev_soa = set_soa_engine(soa)
         try:
             elapsed = _best_of(sweep, reps)
         finally:
-            set_batch_kernels(prev_batch)
             set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
             "cases_per_s": len(specs) / elapsed,
         }
-    out["batch_speedup"] = out["scalar"]["wall_s"] / out["batch"]["wall_s"]
     out["soa_speedup"] = out["scalar"]["wall_s"] / out["soa"]["wall_s"]
     return out
+
+
+def speedup_vs_serial(serial, parallel_wall_s, cpu_count):
+    """The parallel sweep's speedup over the serial ``soa`` leg.
+
+    Pool workers run the SoA engine, so the serial leg they are compared
+    against is the SoA one too.  ``None`` on one CPU, where the workers
+    only time-slice a core and the ratio would measure scheduler noise.
+    """
+    if cpu_count == 1:
+        return None
+    return serial["soa"]["wall_s"] / parallel_wall_s
 
 
 def profile_sweep(context, specs, top=20):
@@ -460,13 +466,11 @@ def bench_gaussian_sweep(context, reps):
         out["vtq_speedup"][scene] = (
             cycles["baseline"] / cycles["vtq"] if cycles["vtq"] else 0.0
         )
-    for label, batch, soa in (("scalar", False, False), ("soa", True, True)):
-        prev_batch = set_batch_kernels(batch)
+    for label, soa in (("scalar", False), ("soa", True)):
         prev_soa = set_soa_engine(soa)
         try:
             elapsed = _best_of(sweep, reps)
         finally:
-            set_batch_kernels(prev_batch)
             set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
@@ -529,8 +533,6 @@ def main(argv=None):
     phases["serial_sweep"] = bench_serial(context, specs, args.reps)
     serial = phases["serial_sweep"]
     print(f"  serial_sweep: scalar {serial['scalar']['wall_s']:.2f}s, "
-          f"batch {serial['batch']['wall_s']:.2f}s "
-          f"({serial['batch_speedup']:.2f}x), "
           f"soa {serial['soa']['wall_s']:.2f}s "
           f"({serial['soa_speedup']:.2f}x)")
     # The SoA engine's headline number gets its own phase entry so CI can
@@ -542,17 +544,14 @@ def main(argv=None):
     }
     phases["parallel_sweep"] = bench_parallel(context, specs, jobs)
     par = phases["parallel_sweep"]
-    if cpu_count == 1:
-        # One core: the workers time-slice it, so "speedup vs serial"
-        # would only measure scheduler noise.
-        par["speedup_vs_serial"] = None
+    par["speedup_vs_serial"] = speedup_vs_serial(serial, par["wall_s"], cpu_count)
+    if par["speedup_vs_serial"] is None:
         par["skipped_reason"] = "cpu_count == 1: workers time-slice one core"
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
               "(speedup n/a on a single-cpu host)")
     else:
-        par["speedup_vs_serial"] = serial["batch"]["wall_s"] / par["wall_s"]
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
-              f"({par['speedup_vs_serial']:.2f}x vs serial)")
+              f"({par['speedup_vs_serial']:.2f}x vs serial soa)")
     phases["memtrace_replay"] = bench_memtrace_replay(context, args.reps)
     replay = phases["memtrace_replay"]
     print(f"  memtrace_replay: {replay['case']} recorded in "

@@ -9,9 +9,7 @@ End to end, in one process (docs/MEMTRACE.md):
    snapshot, cycles and per-SM cycles **bit for bit**,
 3. replay each trace at two L2 sizes and assert each replay equals a
    fresh live run at that configuration exactly,
-4. assert a replay-substituted ``run_case`` sweep point equals the
-   all-live path,
-5. assert the refusal paths refuse: vtq cross-config, replay-unsafe
+4. assert the refusal paths refuse: vtq cross-config, replay-unsafe
    axes, partial (budget-truncated) traces.
 
 Run from the repository root:
@@ -22,7 +20,6 @@ Run from the repository root:
 import dataclasses
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -32,7 +29,6 @@ from repro.errors import TraceBudgetExceeded, TraceError  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     ExperimentContext,
     default_context,
-    run_case,
     scene_and_bvh,
 )
 from repro.memtrace import replay_trace  # noqa: E402
@@ -118,33 +114,6 @@ def main():
         check(exc.limit == 64, "over-budget recording raises with its limit")
     finally:
         del os.environ["REPRO_TRACE_BUDGET_BYTES"]
-
-    print("sweep substitution:")
-    overrides = (("l2_bytes", L2_POINTS[1]),)
-    with tempfile.TemporaryDirectory(prefix="repro-replay-smoke-") as scratch:
-        cached = ExperimentContext(
-            setup=context.setup, scene_list=context.scene_list,
-            use_disk_cache=True,
-        )
-        os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "a")
-        os.environ["REPRO_TRACE_DIR"] = os.path.join(scratch, "traces")
-        try:
-            substituted = run_case(
-                "BUNNY", "prefetch", cached, gpu_overrides=overrides
-            )
-            os.environ["REPRO_MEMTRACE_SWEEPS"] = "0"
-            os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "b")
-            all_live = run_case(
-                "BUNNY", "prefetch", cached, gpu_overrides=overrides
-            )
-        finally:
-            for name in ("REPRO_CACHE_DIR", "REPRO_TRACE_DIR",
-                         "REPRO_MEMTRACE_SWEEPS"):
-                os.environ.pop(name, None)
-    check(
-        substituted == all_live,
-        "replay-substituted run_case metrics equal the all-live path",
-    )
 
     print("replay smoke: PASS")
     return 0

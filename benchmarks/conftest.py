@@ -12,18 +12,16 @@ Environment knobs:
 * ``REPRO_FAST=1`` runs the tiny test-sized context instead.
 """
 
-import os
-
 import pytest
 
+from repro import settings
 from repro.experiments import default_context
 from repro.experiments.report import format_table
 
 
 @pytest.fixture(scope="session")
 def context():
-    fast = os.environ.get("REPRO_FAST", "0") == "1"
-    return default_context(fast=fast)
+    return default_context(fast=settings.get("REPRO_FAST"))
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +33,7 @@ def strict():
     from the evaluated regime; there the benchmarks only verify the
     pipeline runs, not the result shapes.
     """
-    return os.environ.get("REPRO_FAST", "0") != "1"
+    return not settings.get("REPRO_FAST")
 
 
 @pytest.fixture(scope="session")

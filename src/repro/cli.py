@@ -33,7 +33,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro import settings
 from repro.bvh import build_scene_bvh
+from repro.errors import ConfigError
 from repro.gpusim.config import default_setup
 from repro.scenes import load_scene, scene_names, scene_spec
 from repro.tracing import render_scene
@@ -54,10 +56,10 @@ def _figures():
 
 def _warm(names, context, jobs) -> None:
     """Precompute the figures' cases in parallel before the serial replay."""
-    from repro.experiments.parallel import cases_for_figures, jobs_from_env, warm_cases
+    from repro.experiments.parallel import cases_for_figures, warm_cases
 
     if jobs is None:
-        jobs = jobs_from_env()
+        jobs = settings.get("REPRO_JOBS")
     if jobs > 1:
         warm_cases(cases_for_figures(names, context), context, jobs=jobs)
 
@@ -1158,6 +1160,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Refuse a malformed REPRO_* knob before any verb does work; a
+    # daemon must not start on a configuration it would later trip on.
+    try:
+        settings.check_all()
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

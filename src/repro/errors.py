@@ -12,6 +12,7 @@ Hierarchy::
     ReproError
     ├── SceneError        (also ValueError)  defective/unparseable geometry
     ├── BVHError          (also ValueError)  corrupt/mismatched BVH data
+    ├── ConfigError       (also ValueError)  malformed REPRO_* environment knob
     ├── CacheError                           unusable experiment cache entry
     ├── ServiceError                         simulation-serving subsystem fault
     │   ├── ServiceUnavailable               transport failure; safe to retry
@@ -40,6 +41,19 @@ class SceneError(ReproError, ValueError):
 
 class BVHError(ReproError, ValueError):
     """A serialized BVH is corrupt, truncated, or of the wrong version."""
+
+
+class ConfigError(ReproError, ValueError):
+    """A ``REPRO_*`` environment knob holds a value its declaration
+    (:data:`repro.settings.KNOBS`) refuses.  ``knob``, ``value`` and
+    ``expected`` name the variable, the raw string and what it must
+    be."""
+
+    def __init__(self, knob: str, value: str, expected: str):
+        super().__init__(f"{knob} must be {expected}, got {value!r}")
+        self.knob = knob
+        self.value = value
+        self.expected = expected
 
 
 class CacheError(ReproError):

@@ -28,7 +28,6 @@ from repro.experiments.parallel import (
     CaseSpec,
     cases_for_figure,
     cases_for_figures,
-    jobs_from_env,
     run_cases,
     warm_cases,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "cases_for_figure",
     "cases_for_figures",
     "default_context",
-    "jobs_from_env",
     "run_case",
     "run_case_quarantined",
     "run_cases",

@@ -20,8 +20,7 @@ idle.  This module adds the missing layer:
   attribute crashes and hangs to the exact case that caused them, the
   pool rebuilds itself, and a case that destroys
   ``REPRO_MAX_CASE_CRASHES`` workers is poisoned (quarantined with a
-  typed reason) instead of retried forever.  ``REPRO_SUPERVISED=0``
-  falls back to the legacy ``ProcessPoolExecutor`` path.
+  typed reason) instead of retried forever.
 * Sweeps with a disk cache checkpoint their progress in a crash-safe
   journal (:class:`repro.resilience.SweepJournal`): a sweep killed
   mid-flight resumes from the last completed case — including
@@ -41,12 +40,11 @@ built at most once per worker.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.core.config import VTQConfig
 from repro.experiments.runner import (
     CaseFailure,
@@ -78,30 +76,6 @@ class CaseSpec:
                 f"{name}={value}" for name, value in self.gpu_overrides
             )
         return f"{self.scene}/{self.policy}{suffix}"
-
-
-def jobs_from_env() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else ``os.cpu_count()``.
-
-    ``REPRO_JOBS=0`` is the explicit "serial, no pool" mode: every case
-    runs in the calling process and no ``ProcessPoolExecutor`` is ever
-    created.  Negative values are a configuration error and raise
-    ``ValueError`` (rather than whatever the pool would do with them);
-    non-integer garbage falls back to the CPU count with a warning.
-    """
-    raw = os.environ.get("REPRO_JOBS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            logger.warning("ignoring non-integer REPRO_JOBS=%r", raw)
-            return os.cpu_count() or 1
-        if value < 0:
-            raise ValueError(
-                f"REPRO_JOBS must be >= 0 (0 = serial, no pool), got {value}"
-            )
-        return value
-    return os.cpu_count() or 1
 
 
 def _worker(spec: CaseSpec, context: ExperimentContext):
@@ -163,11 +137,6 @@ def _count_case(status: str) -> None:
     ).labels(status=status).inc()
 
 
-def _supervised_enabled() -> bool:
-    """Supervised pool is the default; ``REPRO_SUPERVISED=0`` opts out."""
-    return os.environ.get("REPRO_SUPERVISED", "1") != "0"
-
-
 def _resume_from_journal(
     journal, keys, cases, results, record_failures
 ) -> List[int]:
@@ -219,7 +188,7 @@ def run_cases(
     if not cases:
         return []
     if jobs is None:
-        jobs = jobs_from_env()
+        jobs = settings.get("REPRO_JOBS")
     jobs = int(jobs)
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = serial, no pool), got {jobs}")
@@ -256,13 +225,8 @@ def run_cases(
                 _run_serial(
                     cases, pending, context, results, record_failures, checkpoint
                 )
-            elif _supervised_enabled():
-                _run_supervised(
-                    cases, pending, context, results, record_failures,
-                    checkpoint, workers,
-                )
             else:
-                _run_executor(
+                _run_supervised(
                     cases, pending, context, results, record_failures,
                     checkpoint, workers,
                 )
@@ -339,56 +303,6 @@ def _run_supervised(
     _observe_sweep(
         "parallel", elapsed,
         pool.busy_seconds / (elapsed * workers) if elapsed > 0 else 0.0,
-    )
-
-
-def _run_executor(
-    cases, pending, context, results, record_failures, checkpoint, workers
-) -> None:
-    """Legacy parallel path (``REPRO_SUPERVISED=0``): plain executor."""
-    done = 0
-    busy = 0.0
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(case_worker_obs, cases[index], context): index
-            for index in pending
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            spec = cases[index]
-            try:
-                (metrics, failure), obs_delta = future.result()
-            except Exception as exc:  # worker process died (or pool broke)
-                metrics = None
-                failure = CaseFailure(
-                    scene=spec.scene,
-                    policy=spec.policy,
-                    error_type=type(exc).__name__,
-                    message=f"worker crashed: {exc}",
-                )
-            else:
-                # Metrics recorded inside the worker process (case wall
-                # time, cache events, bridged SimStats) merge into the
-                # parent's registry here.
-                obs_registry().merge_snapshot(obs_delta)
-                busy += _busy_seconds(obs_delta)
-            # Quarantine records live in the worker's memory; re-record in
-            # the parent so `failures()` reflects the whole sweep.
-            if failure is not None and record_failures:
-                record_failure(failure)
-            _count_case("ok" if failure is None else "quarantined")
-            results[index] = (metrics, failure)
-            checkpoint(index, metrics, failure)
-            done += 1
-            logger.info(
-                "parallel sweep %d/%d %s%s",
-                done, len(pending), spec.label(),
-                "" if failure is None else f" [quarantined: {failure.error_type}]",
-            )
-    elapsed = time.perf_counter() - start
-    _observe_sweep(
-        "parallel", elapsed, busy / (elapsed * workers) if elapsed > 0 else 0.0
     )
 
 

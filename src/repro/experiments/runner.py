@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import time
 
-from repro import faults
+from repro import faults, settings
 from repro.bvh import build_scene_bvh
 from repro.core.config import VTQConfig
 from repro.errors import BudgetExceeded, CacheError, ReproError, SimulationError
@@ -71,10 +71,7 @@ def cache_dir() -> Path:
     sweep workers and CI jobs point it at scratch space.  Read on every
     call so tests and workers can retarget it at runtime.
     """
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return _CACHE_DIR
+    return settings.get("REPRO_CACHE_DIR") or _CACHE_DIR
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def default_context(fast: bool = False) -> ExperimentContext:
     is used by unit tests: two scenes at tiny scale.
     """
     setup = default_setup(fast=fast)
-    env = os.environ.get("REPRO_SCENES")
+    env = settings.get("REPRO_SCENES")
     if env:
         names = tuple(n.strip().upper() for n in env.split(",") if n.strip())
     elif fast:
@@ -116,16 +113,6 @@ def default_context(fast: bool = False) -> ExperimentContext:
 # -- scene/BVH construction is cached per process (LRU-bounded) --------------------
 
 _scene_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-
-
-def _scene_cache_limit() -> int:
-    raw = os.environ.get("REPRO_SCENE_CACHE_ENTRIES", "8")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SCENE_CACHE_ENTRIES must be an integer, got {raw!r}"
-        ) from None
 
 
 def scene_and_bvh(name: str, setup: ScaledSetup):
@@ -145,7 +132,7 @@ def scene_and_bvh(name: str, setup: ScaledSetup):
         treelet_budget_bytes=setup.gpu.treelet_bytes,
     )
     _scene_cache[key] = (scene, bvh)
-    limit = _scene_cache_limit()
+    limit = settings.get("REPRO_SCENE_CACHE_ENTRIES")
     while len(_scene_cache) > limit:
         _scene_cache.popitem(last=False)
     return _scene_cache[key]
@@ -263,8 +250,8 @@ def _trace_cache(event: str, key: str) -> None:
         "Disk result-cache events (HIT = replayed, COMPUTE = simulated)",
         ("event",),
     ).labels(event=event.lower()).inc()
-    path = os.environ.get("REPRO_CACHE_TRACE")
-    if not path:
+    path = settings.get("REPRO_CACHE_TRACE")
+    if path is None:
         return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:

@@ -32,7 +32,6 @@ from repro.gpusim.energy import EnergyModel, ENERGY_COSTS
 from repro.gpusim.stats import SimStats, TraversalMode
 from repro.gpusim.warp import SimRay, TraceWarp, warp_step
 from repro.gpusim.rt_unit import BaselineRTUnit
-from repro.gpusim.soa import set_soa_engine, soa_engine_enabled
 from repro.gpusim.dram import DRAMModel
 from repro.gpusim.timeline import ActivityTimeline, write_chrome_trace
 
@@ -52,8 +51,6 @@ __all__ = [
     "TraceWarp",
     "warp_step",
     "BaselineRTUnit",
-    "set_soa_engine",
-    "soa_engine_enabled",
     "DRAMModel",
     "ActivityTimeline",
     "write_chrome_trace",

@@ -22,7 +22,6 @@ on globally.
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -30,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional
 
+from repro import settings
 from repro.errors import BudgetExceeded
 from repro.gpusim.stats import SimStats
 
@@ -48,22 +48,10 @@ class CaseBudget:
                 raise ValueError(f"{name} must be positive when set")
 
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive number, got {raw!r}"
-        ) from None
-
-
 def budget_from_env() -> Optional[CaseBudget]:
     """The globally-configured budget, or ``None`` when unset."""
-    wall = _env_float("REPRO_WALL_BUDGET_S")
-    cycles = _env_float("REPRO_CYCLE_BUDGET")
+    wall = settings.get("REPRO_WALL_BUDGET_S")
+    cycles = settings.get("REPRO_CYCLE_BUDGET")
     if wall is None and cycles is None:
         return None
     return CaseBudget(wall_seconds=wall, max_cycles=cycles)

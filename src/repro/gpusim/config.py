@@ -9,9 +9,10 @@ scenes (see DESIGN.md's substitution table).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+from repro import settings
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def default_setup(fast: bool = False) -> ScaledSetup:
     toward the paper's full 256x256 / 16-SM configuration for users with
     more patience; ``fast=True`` shrinks everything for unit tests.
     """
-    scale = float(os.environ.get("REPRO_SCALE", "1.0"))
+    scale = settings.get("REPRO_SCALE")
     if fast:
         return ScaledSetup(
             gpu=scaled_config(cache_divisor=8, num_sms=2),

@@ -25,7 +25,6 @@ every failed check.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,14 +32,6 @@ import numpy as np
 
 from repro.errors import SanitizerError
 from repro.gpusim.energy import EnergyModel
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def sanitizer_enabled() -> bool:
-    """Whether the ``REPRO_SANITIZE`` environment variable turns checks on."""
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in _TRUTHY
-
 
 @dataclass
 class SanitizeReport:

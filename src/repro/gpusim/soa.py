@@ -40,44 +40,18 @@ the sorted policy (see ``RenderResult.engine_fallback_reason``).
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.bvh.traversal import (
     expand_nodes_batch,
     intersect_leaves_batch,
     pop_next_recording,
 )
-
-_soa_enabled = os.environ.get("REPRO_SOA_ENGINE", "1") != "0"
-
-
-def set_soa_engine(enabled: bool) -> bool:
-    """Toggle the SoA engine path; returns the previous value."""
-    global _soa_enabled
-    previous = _soa_enabled
-    _soa_enabled = bool(enabled)
-    return previous
-
-
-def soa_engine_enabled() -> bool:
-    return _soa_enabled
-
-
-def plan_cache_entries() -> int:
-    """How many plans to keep per BVH (``REPRO_SOA_PLAN_CACHE``)."""
-    raw = os.environ.get("REPRO_SOA_PLAN_CACHE", "4")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SOA_PLAN_CACHE must be an integer, got {raw!r}"
-        ) from None
-
 
 class Trace:
     """One ray's complete traversal record for one bounce.
@@ -309,6 +283,7 @@ def get_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
         del cache[key]
     plan = build_plan(scene, bvh, setup, seed)
     cache[key] = (weakref.ref(scene), plan)
-    while len(cache) > plan_cache_entries():
+    limit = settings.get("REPRO_SOA_PLAN_CACHE")
+    while len(cache) > limit:
         cache.popitem(last=False)
     return plan

@@ -16,11 +16,7 @@ from repro.memtrace.format import (
     save_trace,
     trace_file_info,
 )
-from repro.memtrace.recorder import (
-    RECORDABLE_POLICIES,
-    TraceRecorder,
-    trace_budget_bytes,
-)
+from repro.memtrace.recorder import RECORDABLE_POLICIES, TraceRecorder
 from repro.memtrace.replay import replay_trace
 from repro.memtrace.safety import REPLAY_SAFE_GPU_FIELDS, ensure_replayable
 from repro.memtrace.store import (
@@ -41,7 +37,6 @@ __all__ = [
     "trace_file_info",
     "RECORDABLE_POLICIES",
     "TraceRecorder",
-    "trace_budget_bytes",
     "replay_trace",
     "REPLAY_SAFE_GPU_FIELDS",
     "ensure_replayable",

@@ -25,7 +25,6 @@ explicitly opts into saving a partial trace, which replay then refuses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
@@ -54,20 +53,7 @@ from repro.memtrace.format import (
 
 RECORDABLE_POLICIES = ("baseline", "prefetch", "vtq")
 
-_DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 _TOKEN_BYTES = 8  # int64 per op token / float64 per literal
-
-
-def trace_budget_bytes() -> Optional[int]:
-    """The recording size cap; ``REPRO_TRACE_BUDGET_BYTES=0`` disables it."""
-    raw = os.environ.get("REPRO_TRACE_BUDGET_BYTES")
-    if raw is None:
-        return _DEFAULT_BUDGET_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_BUDGET_BYTES
-    return None if value <= 0 else value
 
 
 class _WarpRecord:

@@ -18,16 +18,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Tuple
 
+from repro import settings
 from repro.errors import TraceError
 from repro.memtrace.format import MemTrace, TRACE_VERSION, load_trace, save_trace
-from repro.memtrace.recorder import TraceRecorder, trace_budget_bytes
+from repro.memtrace.recorder import TraceRecorder
 
 logger = logging.getLogger("repro.memtrace")
 
@@ -36,12 +36,12 @@ _TRACE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "memtrace"
 
 def trace_dir() -> Path:
     """The trace store directory (re-read per call so tests can retarget)."""
-    env = os.environ.get("REPRO_TRACE_DIR")
-    if env:
-        return Path(env)
-    cache_env = os.environ.get("REPRO_CACHE_DIR")
-    if cache_env:
-        return Path(cache_env) / "memtrace"
+    explicit = settings.get("REPRO_TRACE_DIR")
+    if explicit is not None:
+        return explicit
+    cache = settings.get("REPRO_CACHE_DIR")
+    if cache is not None:
+        return cache / "memtrace"
     return _TRACE_DIR
 
 
@@ -153,7 +153,9 @@ def record_trace(
     """
     from repro.tracing import render_scene
 
-    recorder = TraceRecorder(policy, budget_bytes=trace_budget_bytes())
+    recorder = TraceRecorder(
+        policy, budget_bytes=settings.get("REPRO_TRACE_BUDGET_BYTES") or None
+    )
     start = time.perf_counter()
     result = render_scene(
         scene,

@@ -3,7 +3,8 @@
 A *manifest* is a small JSON file written next to an artifact (a figure
 export, a bench report, a sweep) recording everything needed to
 reproduce or audit the run: the command line, the git revision, the
-host/python environment, every ``REPRO_*`` knob that was set, wall-clock
+host/python environment, every ``REPRO_*`` knob's effective value and
+where it came from (:func:`repro.settings.effective`), wall-clock
 timings, quarantine counts and a metrics snapshot of the process-wide
 registry.  ``repro stats <manifest>`` renders one back
 (see ``docs/OBSERVABILITY.md``).
@@ -26,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro import settings
 from repro.obs.registry import registry as default_registry
 
 logger = logging.getLogger("repro.obs.manifest")
@@ -56,15 +58,6 @@ def git_revision() -> Optional[str]:
     return rev if out.returncode == 0 and rev else None
 
 
-def repro_environment() -> Dict[str, str]:
-    """Every ``REPRO_*`` environment knob currently set."""
-    return {
-        key: value
-        for key, value in sorted(os.environ.items())
-        if key.startswith("REPRO_")
-    }
-
-
 def build_manifest(
     command: Optional[str] = None,
     started: Optional[float] = None,
@@ -83,7 +76,7 @@ def build_manifest(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "environment": repro_environment(),
+        "settings": settings.effective(),
         "generated_at": datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat(timespec="seconds"),

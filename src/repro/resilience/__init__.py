@@ -26,7 +26,6 @@ from repro.resilience.chaos import ChaosReport, build_schedule, run_chaos_sweep
 from repro.resilience.journal import (
     SweepJournal,
     deserialize_failure,
-    journal_enabled,
     serialize_failure,
 )
 from repro.resilience.retry import (
@@ -38,8 +37,6 @@ from repro.resilience.retry import (
 from repro.resilience.supervisor import (
     KILL_EXIT_CODE,
     SupervisedPool,
-    hang_timeout_from_env,
-    max_case_crashes_from_env,
 )
 
 __all__ = [
@@ -55,9 +52,6 @@ __all__ = [
     "build_schedule",
     "deserialize_failure",
     "flock_claim",
-    "hang_timeout_from_env",
-    "journal_enabled",
-    "max_case_crashes_from_env",
     "run_chaos_sweep",
     "serialize_failure",
 ]

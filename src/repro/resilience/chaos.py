@@ -130,8 +130,8 @@ class ChaosReport:
 @contextmanager
 def _scratch_cache(tag: str):
     """Point the experiment cache at a fresh scratch dir for one run."""
-    previous = os.environ.get("REPRO_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix=f"repro-chaos-{tag}-") as scratch:
+        previous = os.environ.pop("REPRO_CACHE_DIR", None)
         os.environ["REPRO_CACHE_DIR"] = scratch
         try:
             yield scratch
@@ -166,7 +166,7 @@ def run_chaos_sweep(
         baseline = run_cases(cases, context, jobs=0, record_failures=False)
 
     schedule = build_schedule(seed, cases)
-    previous_timeout = os.environ.get("REPRO_HANG_TIMEOUT_S")
+    previous_timeout = os.environ.pop("REPRO_HANG_TIMEOUT_S", None)
     os.environ["REPRO_HANG_TIMEOUT_S"] = str(hang_timeout_s)
     try:
         with _scratch_cache("run"), faults.injected(*schedule) as registry:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro import faults
+from repro import faults, settings
 
 logger = logging.getLogger("repro.resilience")
 
@@ -76,11 +76,6 @@ def _line_checksum(payload: Dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def journal_enabled() -> bool:
-    """Journalling is on unless ``REPRO_SWEEP_JOURNAL=0``."""
-    return os.environ.get("REPRO_SWEEP_JOURNAL", "1") != "0"
-
-
 @dataclass
 class SweepJournal:
     """Progress journal for one specific sweep (one set of case keys)."""
@@ -97,7 +92,7 @@ class SweepJournal:
         """The journal for this exact sweep, or ``None`` when journalling
         doesn't apply (disabled by env, or the context has no disk cache
         for completed cases to survive in)."""
-        if not journal_enabled():
+        if not settings.get("REPRO_SWEEP_JOURNAL"):
             return None
         if not getattr(context, "use_disk_cache", False):
             return None

@@ -43,36 +43,13 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
+from repro import faults, settings
 
 logger = logging.getLogger("repro.resilience")
 
 #: Exit code the WORKER_KILL fault uses, so tests can tell an injected
 #: death from a genuine one.
 KILL_EXIT_CODE = 11
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        logger.warning("ignoring non-numeric %s=%r", name, raw)
-        return default
-
-
-def hang_timeout_from_env() -> float:
-    """``REPRO_HANG_TIMEOUT_S``: seconds a case may run before its worker
-    is presumed hung and killed (default 300)."""
-    return _env_float("REPRO_HANG_TIMEOUT_S", 300.0)
-
-
-def max_case_crashes_from_env() -> int:
-    """``REPRO_MAX_CASE_CRASHES``: workers one case may destroy before it
-    is poisoned (default 2)."""
-    return max(1, int(_env_float("REPRO_MAX_CASE_CRASHES", 2)))
 
 
 def _observe(counter: str, help_text: str, **labels) -> None:
@@ -179,12 +156,14 @@ class SupervisedPool:
         self.context = context
         self.worker_count = workers
         self.hang_timeout_s = (
-            hang_timeout_s if hang_timeout_s is not None else hang_timeout_from_env()
+            hang_timeout_s
+            if hang_timeout_s is not None
+            else settings.get("REPRO_HANG_TIMEOUT_S")
         )
         self.max_case_crashes = (
             max_case_crashes
             if max_case_crashes is not None
-            else max_case_crashes_from_env()
+            else settings.get("REPRO_MAX_CASE_CRASHES")
         )
         self.poll_s = poll_s
         self._mp = multiprocessing.get_context("fork")

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.errors import (
     AdmissionRejected,
     CircuitOpen,
@@ -54,7 +55,6 @@ from repro.errors import (
 from repro.experiments.runner import CaseFailure, ExperimentContext
 from repro.obs import registry as obs_registry
 from repro.resilience import BreakerBoard
-from repro.service import protocol
 from repro.service.jobs import Job
 
 #: Reason tag for "the fleet has no live node to run this".
@@ -104,13 +104,17 @@ class FleetRegistry:
         ttl_s: Optional[float] = None,
         expire_s: Optional[float] = None,
     ):
-        self.ttl_s = ttl_s if ttl_s is not None else protocol.node_ttl_s()
+        self.ttl_s = (
+            ttl_s if ttl_s is not None else settings.get("REPRO_SERVICE_NODE_TTL_S")
+        )
         self.expire_s = (
-            expire_s if expire_s is not None else protocol.node_expire_s()
+            expire_s
+            if expire_s is not None
+            else settings.get("REPRO_SERVICE_NODE_EXPIRE_S")
         )
         self.breakers = breakers if breakers is not None else BreakerBoard(
-            failure_threshold=protocol.node_breaker_threshold(),
-            cooldown_s=protocol.node_breaker_cooldown(),
+            failure_threshold=settings.get("REPRO_SERVICE_NODE_BREAKER_THRESHOLD"),
+            cooldown_s=settings.get("REPRO_SERVICE_NODE_BREAKER_COOLDOWN_S"),
             subject="node",
         )
         self._nodes: Dict[str, WorkerNode] = {}

@@ -25,36 +25,18 @@ Endpoint resolution (used by server, client and CLI alike):
   only ever binds localhost-style addresses; this is a lab service, not
   an internet-facing one.
 
-Environment knobs (all optional, all prefixed ``REPRO_SERVICE_``):
-
-====================== ==============================================
-``REPRO_SERVICE_SPOOL``      job-spool directory (default ``.cache/service``)
-``REPRO_SERVICE_SOCKET``     unix socket path
-``REPRO_SERVICE_TCP``        ``host:port`` TCP endpoint instead
-``REPRO_SERVICE_QUEUE_MAX``  queue depth bound (default 64)
-``REPRO_SERVICE_CLIENT_MAX`` per-client queued-job quota (default 32)
-``REPRO_SERVICE_JOBS``       worker pool size (default ``REPRO_JOBS``)
-``REPRO_SERVICE_RETRIES``    retries after a worker crash (default 1)
-``REPRO_SERVICE_RETRY_AFTER_S``      backoff hint sent with load rejections (default 1.0)
-``REPRO_SERVICE_BREAKER_THRESHOLD``  consecutive failures tripping a scene circuit (default 3)
-``REPRO_SERVICE_BREAKER_COOLDOWN_S`` open-circuit cooldown before a probe (default 30.0)
-``REPRO_SERVICE_TENANT_MAX``         per-tenant queued-job quota (default 0 = unlimited)
-``REPRO_SERVICE_DEDUPE``             fleet result-dedupe cache gate (default on; 0 disables)
-``REPRO_SERVICE_HEARTBEAT_S``        worker-node heartbeat period (default 1.0)
-``REPRO_SERVICE_NODE_TTL_S``         heartbeat staleness before routing skips a node (default 10.0)
-``REPRO_SERVICE_NODE_EXPIRE_S``      staleness before a node is dropped entirely (default 60.0)
-``REPRO_SERVICE_NODE_BREAKER_THRESHOLD``  transport failures tripping a node circuit (default 2)
-``REPRO_SERVICE_NODE_BREAKER_COOLDOWN_S`` open node-circuit cooldown (default 15.0)
-====================== ==============================================
+The other ``REPRO_SERVICE_*`` knobs (queue bounds, retries, breakers,
+heartbeats, dedupe) are declared in :data:`repro.settings.KNOBS` and
+read with :func:`repro.settings.get` where they apply.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro import settings
 from repro.errors import ServiceError
 
 #: Every verb the server understands.  ``batch`` submits many cases in
@@ -74,121 +56,7 @@ Endpoint = Union[str, Tuple[str, int]]
 
 def spool_dir() -> Path:
     """The job-spool directory (``REPRO_SERVICE_SPOOL`` overrides)."""
-    env = os.environ.get("REPRO_SERVICE_SPOOL")
-    if env:
-        return Path(env)
-    return _SPOOL_DEFAULT
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ServiceError(f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ServiceError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ServiceError(f"{name} must be a number, got {raw!r}") from None
-    if value < minimum:
-        raise ServiceError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def queue_max() -> int:
-    return _env_int("REPRO_SERVICE_QUEUE_MAX", 64, minimum=1)
-
-
-def client_max() -> int:
-    return _env_int("REPRO_SERVICE_CLIENT_MAX", 32, minimum=1)
-
-
-def retries() -> int:
-    return _env_int("REPRO_SERVICE_RETRIES", 1, minimum=0)
-
-
-def retry_after_hint() -> float:
-    """The ``retry_after_s`` hint attached to load-shedding rejections
-    (queue-full, client-quota).  ``REPRO_SERVICE_RETRY_AFTER_S``
-    overrides the 1-second default."""
-    return _env_float("REPRO_SERVICE_RETRY_AFTER_S", 1.0)
-
-
-def breaker_threshold() -> int:
-    """Consecutive failures that trip a scene's circuit breaker."""
-    return _env_int("REPRO_SERVICE_BREAKER_THRESHOLD", 3, minimum=1)
-
-
-def breaker_cooldown() -> float:
-    """Seconds an open scene circuit waits before admitting a probe."""
-    return _env_float("REPRO_SERVICE_BREAKER_COOLDOWN_S", 30.0, minimum=0.001)
-
-
-def tenant_max() -> Optional[int]:
-    """Per-tenant queued-job quota (``REPRO_SERVICE_TENANT_MAX``).
-
-    ``0`` — the default — means unlimited: single-tenant labs should not
-    trip a quota they never asked for.
-    """
-    value = _env_int("REPRO_SERVICE_TENANT_MAX", 0, minimum=0)
-    return value if value > 0 else None
-
-
-def heartbeat_s() -> float:
-    """Worker-node heartbeat period (``REPRO_SERVICE_HEARTBEAT_S``)."""
-    return _env_float("REPRO_SERVICE_HEARTBEAT_S", 1.0, minimum=0.01)
-
-
-def node_ttl_s() -> float:
-    """How stale a node's last heartbeat may be before the router stops
-    sending it work (``REPRO_SERVICE_NODE_TTL_S``)."""
-    return _env_float("REPRO_SERVICE_NODE_TTL_S", 10.0, minimum=0.01)
-
-
-def node_expire_s() -> float:
-    """How stale a node may be before it is dropped from the registry
-    entirely (``REPRO_SERVICE_NODE_EXPIRE_S``)."""
-    return _env_float("REPRO_SERVICE_NODE_EXPIRE_S", 60.0, minimum=0.01)
-
-
-def node_breaker_threshold() -> int:
-    """Consecutive transport failures tripping a node's circuit
-    (``REPRO_SERVICE_NODE_BREAKER_THRESHOLD``).  Tighter than the scene
-    default: a node that dropped two dispatches in a row is almost
-    certainly down, and the router has other nodes to try."""
-    return _env_int("REPRO_SERVICE_NODE_BREAKER_THRESHOLD", 2, minimum=1)
-
-
-def node_breaker_cooldown() -> float:
-    """Open node-circuit cooldown (``REPRO_SERVICE_NODE_BREAKER_COOLDOWN_S``)."""
-    return _env_float(
-        "REPRO_SERVICE_NODE_BREAKER_COOLDOWN_S", 15.0, minimum=0.001
-    )
-
-
-def service_jobs() -> int:
-    """Worker pool size: ``REPRO_SERVICE_JOBS``, else ``REPRO_JOBS``/CPUs.
-
-    ``0`` means serial in-process execution (no pool) — the same
-    convention as :func:`repro.experiments.parallel.jobs_from_env`.
-    """
-    raw = os.environ.get("REPRO_SERVICE_JOBS")
-    if raw:
-        return _env_int("REPRO_SERVICE_JOBS", 0, minimum=0)
-    from repro.experiments.parallel import jobs_from_env
-
-    return jobs_from_env()
+    return settings.get("REPRO_SERVICE_SPOOL") or _SPOOL_DEFAULT
 
 
 def resolve_endpoint(explicit: Optional[str] = None) -> Endpoint:
@@ -202,16 +70,14 @@ def resolve_endpoint(explicit: Optional[str] = None) -> Endpoint:
     if explicit:
         parsed = _parse_tcp(explicit)
         return parsed if parsed is not None else explicit
-    tcp = os.environ.get("REPRO_SERVICE_TCP")
+    tcp = settings.get("REPRO_SERVICE_TCP")
     if tcp:
         parsed = _parse_tcp(tcp)
         if parsed is None:
             raise ServiceError(f"REPRO_SERVICE_TCP must be host:port, got {tcp!r}")
         return parsed
-    sock = os.environ.get("REPRO_SERVICE_SOCKET")
-    if sock:
-        return sock
-    return str(spool_dir() / "service.sock")
+    sock = settings.get("REPRO_SERVICE_SOCKET")
+    return str(sock if sock is not None else spool_dir() / "service.sock")
 
 
 def _parse_tcp(value: str) -> Optional[Tuple[str, int]]:

@@ -43,6 +43,7 @@ import itertools
 import time
 from typing import Dict, List, Optional
 
+from repro import settings
 from repro.errors import AdmissionRejected
 from repro.service.jobs import Job
 
@@ -122,20 +123,19 @@ class JobQueue:
         """
         depth = self._client_depth(job.client_id)
         if enforce_bounds:
-            from repro.service.protocol import retry_after_hint
-
+            retry_after_s = settings.get("REPRO_SERVICE_RETRY_AFTER_S")
             if len(self._entries) >= self.max_depth:
                 raise AdmissionRejected(
                     f"queue is full ({self.max_depth} jobs queued); retry later",
                     reason="queue-full",
-                    retry_after_s=retry_after_hint(),
+                    retry_after_s=retry_after_s,
                 )
             if self.per_client_max is not None and depth >= self.per_client_max:
                 raise AdmissionRejected(
                     f"client {job.client_id!r} already has {depth} queued "
                     f"jobs (quota {self.per_client_max})",
                     reason="client-quota",
-                    retry_after_s=retry_after_hint(),
+                    retry_after_s=retry_after_s,
                 )
             if (
                 self.per_tenant_max is not None
@@ -146,7 +146,7 @@ class JobQueue:
                     f"{self._tenant_depth(job.tenant)} queued jobs "
                     f"(quota {self.per_tenant_max})",
                     reason="tenant-quota",
-                    retry_after_s=retry_after_hint(),
+                    retry_after_s=retry_after_s,
                 )
         # Higher priority first; at equal priority, clients interleave by
         # fair rank (strictly after everything this client still has

@@ -46,43 +46,13 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro import settings
 from repro.experiments.runner import ExperimentContext, case_key_for
 from repro.obs import registry as obs_registry
 
 #: Bump when the entry schema or keying recipe changes; old entries are
 #: then treated as misses and deleted on contact.
 RESULT_CACHE_VERSION = "1"
-
-
-def dedupe_enabled() -> bool:
-    """The fleet-wide dedupe gate (``REPRO_SERVICE_DEDUPE``, default on)."""
-    return os.environ.get("REPRO_SERVICE_DEDUPE", "1") != "0"
-
-
-def _limit_from_env(name: str) -> int:
-    """A non-negative size limit from the environment; 0 = unlimited.
-
-    Garbage values degrade to unlimited rather than killing the server —
-    a misconfigured bound must never take the cache (or the daemon
-    carrying it) down.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def dedupe_max_entries() -> int:
-    """Entry-count bound (``REPRO_SERVICE_DEDUPE_MAX_ENTRIES``; 0 = off)."""
-    return _limit_from_env("REPRO_SERVICE_DEDUPE_MAX_ENTRIES")
-
-
-def dedupe_max_bytes() -> int:
-    """On-disk byte bound (``REPRO_SERVICE_DEDUPE_MAX_BYTES``; 0 = off)."""
-    return _limit_from_env("REPRO_SERVICE_DEDUPE_MAX_BYTES")
 
 
 def result_key(
@@ -142,7 +112,7 @@ class ResultCache:
         submission, failed checksum) is deleted and counted as a miss —
         the caller dispatches and the rewrite heals the cache.
         """
-        if not dedupe_enabled():
+        if not settings.get("REPRO_SERVICE_DEDUPE"):
             return None
         path = self.path(key)
         try:
@@ -174,7 +144,7 @@ class ResultCache:
 
     def store(self, key: str, result: Dict) -> None:
         """Persist ``result`` under ``key`` (atomic tmp write + rename)."""
-        if not dedupe_enabled():
+        if not settings.get("REPRO_SERVICE_DEDUPE"):
             return
         path = self.path(key)
         tmp = path.with_suffix(".json.tmp")
@@ -205,8 +175,8 @@ class ResultCache:
         alone exceeds the byte bound — storing then instantly discarding
         a result would turn an aggressive bound into a 0% hit rate.
         """
-        max_entries = dedupe_max_entries()
-        max_bytes = dedupe_max_bytes()
+        max_entries = settings.get("REPRO_SERVICE_DEDUPE_MAX_ENTRIES")
+        max_bytes = settings.get("REPRO_SERVICE_DEDUPE_MAX_BYTES")
         if not max_entries and not max_bytes:
             return
         entries = []

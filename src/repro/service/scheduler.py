@@ -51,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Callable, List, Optional, Set
 
+from repro import settings
 from repro.errors import BudgetExceeded, CircuitOpen
 from repro.experiments.parallel import case_worker, case_worker_obs
 from repro.experiments.runner import (
@@ -62,7 +63,6 @@ from repro.obs import diff_snapshots, registry as obs_registry
 from repro.gpusim.budget import merge_wall_budget
 from repro.resilience import BreakerBoard, RetryPolicy
 from repro.service import jobs as jobstates
-from repro.service import protocol
 from repro.service.fleet import FleetRegistry, dispatch_remote
 from repro.service.jobs import Job, JobStore
 from repro.service.queue import JobQueue
@@ -146,8 +146,8 @@ class Scheduler:
         self.retries = retries
         self.worker_fn = worker_fn
         self.breakers = breakers if breakers is not None else BreakerBoard(
-            failure_threshold=protocol.breaker_threshold(),
-            cooldown_s=protocol.breaker_cooldown(),
+            failure_threshold=settings.get("REPRO_SERVICE_BREAKER_THRESHOLD"),
+            cooldown_s=settings.get("REPRO_SERVICE_BREAKER_COOLDOWN_S"),
         )
         # Crash retry under the unified policy: `retries` extra attempts
         # with jittered backoff, tightened per job to its wall budget.

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
+from repro import settings
 from repro.errors import AdmissionRejected, ServiceError
 from repro.experiments.runner import ExperimentContext, default_context
 from repro.obs import registry as obs_registry
@@ -64,7 +65,7 @@ from repro.service import jobs as jobstates
 from repro.service.fleet import FleetRegistry
 from repro.service.jobs import JobStore, new_job, spec_from_dict
 from repro.service.queue import JobQueue
-from repro.service.resultcache import ResultCache, dedupe_enabled, result_key
+from repro.service.resultcache import ResultCache, result_key
 from repro.service.scheduler import Scheduler
 from repro.tracing.render import POLICIES
 
@@ -94,7 +95,7 @@ class SimulationServer:
         self.endpoint = (
             endpoint if endpoint is not None else protocol.resolve_endpoint()
         )
-        self.jobs = jobs if jobs is not None else protocol.service_jobs()
+        self.jobs = jobs if jobs is not None else settings.get("REPRO_SERVICE_JOBS")
         # Route the runner's cache audit log into the spool so `health`
         # can report hit rates; an operator-set path wins.
         os.environ.setdefault(
@@ -102,12 +103,21 @@ class SimulationServer:
         )
         self.store = JobStore(self.spool / "jobs")
         self.queue = JobQueue(
-            max_depth=queue_max if queue_max is not None else protocol.queue_max(),
-            per_client_max=(
-                client_max if client_max is not None else protocol.client_max()
+            max_depth=(
+                queue_max
+                if queue_max is not None
+                else settings.get("REPRO_SERVICE_QUEUE_MAX")
             ),
+            per_client_max=(
+                client_max
+                if client_max is not None
+                else settings.get("REPRO_SERVICE_CLIENT_MAX")
+            ),
+            # A tenant quota of 0 means unlimited.
             per_tenant_max=(
-                tenant_max if tenant_max is not None else protocol.tenant_max()
+                tenant_max
+                if tenant_max is not None
+                else settings.get("REPRO_SERVICE_TENANT_MAX") or None
             ),
         )
         # Worker mode: `--join <head>` makes this server register itself
@@ -129,7 +139,11 @@ class SimulationServer:
             self.queue,
             self.context,
             jobs=self.jobs,
-            retries=retries if retries is not None else protocol.retries(),
+            retries=(
+                retries
+                if retries is not None
+                else settings.get("REPRO_SERVICE_RETRIES")
+            ),
             fleet=self.fleet,
             result_cache=self.result_cache,
         )
@@ -191,7 +205,7 @@ class SimulationServer:
         from repro.service.client import ServiceClient
 
         client = ServiceClient(endpoint=self.join, timeout=10.0)
-        period = protocol.heartbeat_s()
+        period = settings.get("REPRO_SERVICE_HEARTBEAT_S")
         registered = False
         while True:
             try:
@@ -492,7 +506,7 @@ class SimulationServer:
             self.scheduler.kick()
             return protocol.ok(
                 node=node.snapshot(),
-                heartbeat_s=protocol.heartbeat_s(),
+                heartbeat_s=settings.get("REPRO_SERVICE_HEARTBEAT_S"),
                 ttl_s=self.fleet.ttl_s,
             )
         if op == "heartbeat":
@@ -688,7 +702,7 @@ class SimulationServer:
             breakers=self.scheduler.breakers.snapshot(),
             cache=_cache_counters(),
             dedupe={
-                "enabled": dedupe_enabled(),
+                "enabled": settings.get("REPRO_SERVICE_DEDUPE"),
                 "entries": len(self.result_cache),
             },
             fleet=fleet,
@@ -926,9 +940,9 @@ class SimulationServer:
 
 def _cache_counters() -> Dict:
     """Hit/compute counts from the runner's ``REPRO_CACHE_TRACE`` log."""
-    path = os.environ.get("REPRO_CACHE_TRACE")
+    path = settings.get("REPRO_CACHE_TRACE")
     hits = computes = 0
-    if path and os.path.exists(path):
+    if path is not None and path.exists():
         try:
             with open(path) as handle:
                 for line in handle:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import faults
+from repro import faults, settings
 from repro.baselines.prefetch import PrefetchRTUnit
 from repro.errors import TraceError
 from repro.core.config import VTQConfig
@@ -40,7 +40,7 @@ from repro.core.virtualization import CTATracker, cta_state_bytes
 from repro.gpusim.config import GPUConfig, ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
 from repro.gpusim.rt_unit import BaselineRTUnit
-from repro.gpusim.soa import get_plan, soa_engine_enabled
+from repro.gpusim.soa import get_plan
 from repro.gpusim.soa_engines import (
     ReplayState,
     SoABaselineRTUnit,
@@ -120,7 +120,7 @@ def render_scene(
     # into warp internals the replay does not execute, and the sorted
     # policy re-forms warps from live ray geometry mid-render.
     fallback_reason: Optional[str] = None
-    if not soa_engine_enabled():
+    if not settings.get("REPRO_SOA_ENGINE"):
         fallback_reason = "disabled"
     elif trace_recorder is not None:
         fallback_reason = "trace-recorder-attached"
@@ -213,9 +213,9 @@ def render_scene(
         engine_fallback_reason=fallback_reason,
     )
     _apply_stats_fault(result)
-    from repro.gpusim.sanitize import check_render, sanitizer_enabled
+    from repro.gpusim.sanitize import check_render
 
-    if sanitize or (sanitize is None and sanitizer_enabled()):
+    if sanitize or (sanitize is None and settings.get("REPRO_SANITIZE")):
         check_render(result, setup)
     # Publish the run's merged stats into the process-wide metrics
     # registry (repro.obs).  Purely observational: the bridge only reads

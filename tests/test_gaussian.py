@@ -14,6 +14,7 @@ three policies.
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from repro.errors import SceneError
 from repro.experiments import default_context
 from repro.experiments.runner import ExperimentContext, scene_and_bvh
 from repro.geometry.gaussian import ALPHA_HIT_MIN, GaussianSet
-from repro.gpusim.soa import set_soa_engine
 from repro.memtrace import replay_trace
 from repro.memtrace.safety import REPLAY_SAFE_GPU_FIELDS
 from repro.memtrace.store import record_trace
@@ -198,16 +198,15 @@ class TestGaussianBVH:
 
 
 @pytest.fixture(autouse=True)
-def _soa_restored():
-    previous = set_soa_engine(True)
-    yield
-    set_soa_engine(previous)
+def _soa_restored(monkeypatch):
+    """SoA on by default; monkeypatch restores ``REPRO_SOA_ENGINE``."""
+    monkeypatch.setenv("REPRO_SOA_ENGINE", "1")
 
 
 def _render_both(scene, bvh, setup, policy, **kw):
-    set_soa_engine(False)
+    os.environ["REPRO_SOA_ENGINE"] = "0"
     scalar = render_scene(scene, bvh, setup, policy=policy, **kw)
-    set_soa_engine(True)
+    os.environ["REPRO_SOA_ENGINE"] = "1"
     soa = render_scene(scene, bvh, setup, policy=policy, **kw)
     return scalar, soa
 
@@ -289,14 +288,11 @@ class TestLeafCostReplay:
 # end-to-end: the case runner prices splats through the metrics dict
 
 
-def test_run_case_metrics_stable_across_engines(ctx):
+def test_run_case_metrics_stable_across_engines(ctx, monkeypatch):
     from repro.experiments import runner
 
-    previous = set_soa_engine(False)
-    try:
-        scalar = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
-        set_soa_engine(True)
-        fast = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
-    finally:
-        set_soa_engine(previous)
+    monkeypatch.setenv("REPRO_SOA_ENGINE", "0")
+    scalar = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
+    monkeypatch.setenv("REPRO_SOA_ENGINE", "1")
+    fast = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
     assert json.dumps(scalar, sort_keys=True) == json.dumps(fast, sort_keys=True)

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.errors import TraceBudgetExceeded, TraceError
+from repro.errors import ConfigError, TraceBudgetExceeded, TraceError
 from repro.experiments import default_context
 from repro.experiments.runner import (
     ExperimentContext,
@@ -214,13 +214,14 @@ class TestTraceBudget:
         save_trace(trace, path)
         assert trace_file_info(path)["partial"] is True
 
-    def test_budget_disabled_by_nonpositive(self, monkeypatch):
-        from repro.memtrace import trace_budget_bytes
-
+    def test_budget_disabled_by_nonpositive(self, ctx, monkeypatch):
+        """``0`` uncaps recording; a negative budget is refused."""
         monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "0")
-        assert trace_budget_bytes() is None
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "123")
-        assert trace_budget_bytes() == 123
+        trace, _live = _record(ctx, "BUNNY", "baseline")
+        assert not trace.partial
+        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "-1")
+        with pytest.raises(ConfigError, match="REPRO_TRACE_BUDGET_BYTES"):
+            _record(ctx, "BUNNY", "baseline")
 
 
 class TestTraceFileInfo:

@@ -14,12 +14,13 @@ import os
 import pytest
 
 import repro.experiments.runner as runner
+from repro import settings
+from repro.errors import ConfigError
 from repro.experiments import default_context
 from repro.experiments.parallel import (
     CaseSpec,
     cases_for_figure,
     cases_for_figures,
-    jobs_from_env,
     run_cases,
     warm_cases,
 )
@@ -61,24 +62,26 @@ class TestCacheDir:
 class TestJobsFromEnv:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert jobs_from_env() == (os.cpu_count() or 1)
+        assert settings.get("REPRO_JOBS") == (os.cpu_count() or 1)
 
     def test_env_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert jobs_from_env() == 3
+        assert settings.get("REPRO_JOBS") == 3
 
     def test_garbage_falls_back(self, monkeypatch):
+        """Garbage no longer falls back to the CPU count: it is refused."""
         monkeypatch.setenv("REPRO_JOBS", "many")
-        assert jobs_from_env() == (os.cpu_count() or 1)
+        with pytest.raises(ConfigError, match="REPRO_JOBS.*'many'"):
+            settings.get("REPRO_JOBS")
 
     def test_zero_is_explicit_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert jobs_from_env() == 0
+        assert settings.get("REPRO_JOBS") == 0
 
     def test_negative_is_an_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.raises(ValueError, match="REPRO_JOBS must be >= 0"):
-            jobs_from_env()
+            settings.get("REPRO_JOBS")
 
 
 class TestCaseEnumeration:
@@ -116,12 +119,10 @@ class TestRunCases:
             assert metrics["policy"] == spec.policy
 
     def test_jobs_zero_never_creates_a_pool(self, ctx, monkeypatch):
-        import repro.experiments.parallel as parallel
-
         def poisoned_pool(*args, **kwargs):
-            raise AssertionError("jobs=0 must not create a ProcessPoolExecutor")
+            raise AssertionError("jobs=0 must not create a SupervisedPool")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", poisoned_pool)
+        monkeypatch.setattr("repro.resilience.SupervisedPool", poisoned_pool)
         results = run_cases(
             [CaseSpec("BUNNY", "baseline")], _fast_nocache(ctx), jobs=0
         )

@@ -13,7 +13,6 @@ from repro.experiments.runner import CaseFailure, ExperimentContext
 from repro.resilience import (
     SweepJournal,
     deserialize_failure,
-    journal_enabled,
     serialize_failure,
 )
 
@@ -59,7 +58,6 @@ class TestForCases:
     def test_env_kill_switch(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SWEEP_JOURNAL", "0")
-        assert not journal_enabled()
         assert SweepJournal.for_cases(CASES, default_context(fast=True)) is None
 
     def test_no_disk_cache_means_no_journal(self, tmp_path, monkeypatch):

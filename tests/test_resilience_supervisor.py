@@ -11,13 +11,10 @@ import pytest
 
 import repro.experiments.runner as runner
 from repro import faults
+from repro.errors import ConfigError
 from repro.experiments import default_context
 from repro.experiments.parallel import CaseSpec, run_cases
 from repro.resilience import KILL_EXIT_CODE, SupervisedPool
-from repro.resilience.supervisor import (
-    hang_timeout_from_env,
-    max_case_crashes_from_env,
-)
 
 
 @pytest.fixture
@@ -34,21 +31,23 @@ CASES = [CaseSpec("BUNNY", "baseline"), CaseSpec("SPNZA", "baseline")]
 
 
 class TestEnvKnobs:
-    def test_hang_timeout(self, monkeypatch):
+    def test_hang_timeout(self, ctx, monkeypatch):
         monkeypatch.delenv("REPRO_HANG_TIMEOUT_S", raising=False)
-        assert hang_timeout_from_env() == 300.0
+        assert SupervisedPool(1, ctx).hang_timeout_s == 300.0
         monkeypatch.setenv("REPRO_HANG_TIMEOUT_S", "2.5")
-        assert hang_timeout_from_env() == 2.5
+        assert SupervisedPool(1, ctx).hang_timeout_s == 2.5
         monkeypatch.setenv("REPRO_HANG_TIMEOUT_S", "junk")
-        assert hang_timeout_from_env() == 300.0
+        with pytest.raises(ConfigError, match="REPRO_HANG_TIMEOUT_S.*'junk'"):
+            SupervisedPool(1, ctx)
 
-    def test_max_case_crashes(self, monkeypatch):
+    def test_max_case_crashes(self, ctx, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_CASE_CRASHES", raising=False)
-        assert max_case_crashes_from_env() == 2
+        assert SupervisedPool(1, ctx).max_case_crashes == 2
         monkeypatch.setenv("REPRO_MAX_CASE_CRASHES", "5")
-        assert max_case_crashes_from_env() == 5
-        monkeypatch.setenv("REPRO_MAX_CASE_CRASHES", "0")
-        assert max_case_crashes_from_env() == 1  # clamped
+        assert SupervisedPool(1, ctx).max_case_crashes == 5
+        monkeypatch.setenv("REPRO_MAX_CASE_CRASHES", "0")  # no longer clamped
+        with pytest.raises(ConfigError, match="REPRO_MAX_CASE_CRASHES must be >= 1"):
+            SupervisedPool(1, ctx)
 
     def test_worker_count_validated(self, ctx):
         with pytest.raises(ValueError, match="workers"):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import repro.experiments.runner as runner
-from repro import faults
+from repro import faults, settings
 from repro.bvh.serialize import load_scene_bvh, save_scene_bvh
 from repro.errors import (
     BVHError,
     BudgetExceeded,
     CacheError,
+    ConfigError,
     SanitizerError,
     SceneError,
     SimulationError,
@@ -319,8 +320,8 @@ class TestSceneCacheLRU:
 
     def test_garbage_limit_is_refused(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCENE_CACHE_ENTRIES", "abc")
-        with pytest.raises(ValueError, match="REPRO_SCENE_CACHE_ENTRIES.*'abc'"):
-            runner._scene_cache_limit()
+        with pytest.raises(ConfigError, match="REPRO_SCENE_CACHE_ENTRIES.*'abc'"):
+            settings.get("REPRO_SCENE_CACHE_ENTRIES")
 
 
 class TestSanitizer:

@@ -24,7 +24,7 @@ import time
 import pytest
 
 import repro.experiments.runner as runner
-from repro.errors import AdmissionRejected, CircuitOpen, ServiceError
+from repro.errors import AdmissionRejected, CircuitOpen, ConfigError, ServiceError
 from repro.experiments import default_context
 from repro.experiments.parallel import CaseSpec
 from repro.resilience import BreakerBoard
@@ -167,12 +167,15 @@ class TestResultCache:
         assert cache.lookup("b") == {"cycles": 2.0}
 
     def test_garbage_limits_degrade_to_unlimited(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_DEDUPE_MAX_ENTRIES", "lots")
-        monkeypatch.setenv("REPRO_SERVICE_DEDUPE_MAX_BYTES", "-5")
+        """Garbage bounds no longer degrade to unlimited: they are refused."""
         cache = ResultCache(tmp_path / "results")
-        for i in range(6):
-            cache.store(f"k{i}", {"cycles": float(i)})
-        assert len(cache) == 6
+        monkeypatch.setenv("REPRO_SERVICE_DEDUPE_MAX_ENTRIES", "lots")
+        with pytest.raises(ConfigError, match="REPRO_SERVICE_DEDUPE_MAX_ENTRIES"):
+            cache.store("k0", {"cycles": 0.0})
+        monkeypatch.delenv("REPRO_SERVICE_DEDUPE_MAX_ENTRIES")
+        monkeypatch.setenv("REPRO_SERVICE_DEDUPE_MAX_BYTES", "-5")
+        with pytest.raises(ConfigError, match="REPRO_SERVICE_DEDUPE_MAX_BYTES must be >= 0"):
+            cache.store("k1", {"cycles": 1.0})
 
 
 # -- fleet registry --------------------------------------------------------------

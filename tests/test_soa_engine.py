@@ -10,17 +10,18 @@ and when they cannot (memory-trace recorder attached, sorted policy),
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from repro import faults
-from repro.errors import BudgetExceeded, SanitizerError
+from repro import faults, settings
+from repro.errors import BudgetExceeded, ConfigError, SanitizerError
 from repro.experiments import default_context
 from repro.experiments.runner import ExperimentContext, scene_and_bvh
 from repro.faults import FaultSpec
 from repro.core.config import VTQConfig
-from repro.gpusim.soa import get_plan, set_soa_engine, soa_engine_enabled
+from repro.gpusim.soa import get_plan
 from repro.memtrace import replay_trace
 from repro.memtrace.store import record_trace
 from repro.tracing import render_scene
@@ -38,17 +39,20 @@ def ctx():
 
 
 @pytest.fixture(autouse=True)
-def _soa_on():
-    """Every test starts from the default (SoA enabled) and restores it."""
-    previous = set_soa_engine(True)
-    yield
-    set_soa_engine(previous)
+def _soa_on(monkeypatch):
+    """Every test starts with the SoA engine on; monkeypatch restores the
+    caller's ``REPRO_SOA_ENGINE`` afterwards, whatever the test set."""
+    monkeypatch.setenv("REPRO_SOA_ENGINE", "1")
+
+
+def _use_soa(enabled):
+    os.environ["REPRO_SOA_ENGINE"] = "1" if enabled else "0"
 
 
 def _render_both(scene, bvh, setup, policy, **kw):
-    set_soa_engine(False)
+    _use_soa(False)
     scalar = render_scene(scene, bvh, setup, policy=policy, **kw)
-    set_soa_engine(True)
+    _use_soa(True)
     soa = render_scene(scene, bvh, setup, policy=policy, **kw)
     return scalar, soa
 
@@ -105,7 +109,7 @@ class TestErrorPaths:
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         outcomes = []
         for enabled in (False, True):
-            set_soa_engine(enabled)
+            _use_soa(enabled)
             with pytest.raises(BudgetExceeded) as exc_info:
                 render_scene(
                     scene, bvh, ctx.setup, policy=policy, cycle_budget=5000.0
@@ -125,7 +129,7 @@ class TestErrorPaths:
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         messages = []
         for enabled in (False, True):
-            set_soa_engine(enabled)
+            _use_soa(enabled)
             with faults.injected(
                 FaultSpec(site=faults.STATS_CORRUPT, match="BUNNY:vtq")
             ):
@@ -145,7 +149,7 @@ class TestErrorPaths:
                  "vtq": "VTQRTUnit"}[policy]
         cycles = []
         for enabled in (False, True):
-            set_soa_engine(enabled)
+            _use_soa(enabled)
             with faults.injected(
                 FaultSpec(
                     site=faults.SIM_STALL, match=match,
@@ -161,8 +165,8 @@ class TestErrorPaths:
 class TestFallbacks:
     def test_disabled_flag_falls_back(self, ctx):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
-        set_soa_engine(False)
-        assert not soa_engine_enabled()
+        _use_soa(False)
+        assert not settings.get("REPRO_SOA_ENGINE")
         result = render_scene(scene, bvh, ctx.setup, policy="baseline")
         assert result.engine == "scalar"
         assert result.engine_fallback_reason == "disabled"
@@ -178,7 +182,7 @@ class TestFallbacks:
         """Recording under SoA runs the scalar engines (the recorder hooks
         into warp internals replay never executes), and the resulting
         trace still replays bit-for-bit."""
-        assert soa_engine_enabled()
+        assert settings.get("REPRO_SOA_ENGINE")
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         trace, live = record_trace(
             scene, bvh, ctx.setup, policy, scene_name="BUNNY"
@@ -204,13 +208,11 @@ class TestPlanCache:
         assert first is again
 
     def test_plan_cache_knob_rejects_garbage(self, monkeypatch):
-        from repro.gpusim.soa import plan_cache_entries
-
         monkeypatch.setenv("REPRO_SOA_PLAN_CACHE", "abc")
-        with pytest.raises(ValueError, match="REPRO_SOA_PLAN_CACHE.*'abc'"):
-            plan_cache_entries()
+        with pytest.raises(ConfigError, match="REPRO_SOA_PLAN_CACHE.*'abc'"):
+            settings.get("REPRO_SOA_PLAN_CACHE")
         monkeypatch.setenv("REPRO_SOA_PLAN_CACHE", "2")
-        assert plan_cache_entries() == 2
+        assert settings.get("REPRO_SOA_PLAN_CACHE") == 2
 
     def test_plan_keyed_on_render_parameters(self, ctx):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)

@@ -46,6 +46,7 @@ import platform
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -60,7 +61,21 @@ from repro.geometry.batch import (  # noqa: E402
     intersect_tri_batch,
     safe_inverse,
 )
-from repro.gpusim import set_soa_engine  # noqa: E402
+from repro import settings  # noqa: E402
+
+
+@contextmanager
+def _soa_engine(enabled: bool):
+    """Run the body with ``REPRO_SOA_ENGINE`` forced on or off."""
+    previous = os.environ.get("REPRO_SOA_ENGINE")
+    os.environ["REPRO_SOA_ENGINE"] = "1" if enabled else "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_SOA_ENGINE"]
+        else:
+            os.environ["REPRO_SOA_ENGINE"] = previous
 
 
 def _case_list(fast: bool):
@@ -240,11 +255,8 @@ def bench_serial(context, specs, reps):
     sweep()  # warm the per-process scene cache (and the SoA plan cache)
     out = {}
     for label, soa in (("scalar", False), ("soa", True)):
-        prev_soa = set_soa_engine(soa)
-        try:
+        with _soa_engine(soa):
             elapsed = _best_of(sweep, reps)
-        finally:
-            set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
             "cases_per_s": len(specs) / elapsed,
@@ -271,14 +283,11 @@ def profile_sweep(context, specs, top=20):
     import pstats
 
     nocache = _nocache(context)
-    prev_soa = set_soa_engine(True)
     profiler = cProfile.Profile()
-    try:
+    with _soa_engine(True):
         profiler.enable()
         results = run_cases(specs, nocache, jobs=1, record_failures=False)
         profiler.disable()
-    finally:
-        set_soa_engine(prev_soa)
     assert all(m is not None for m, _ in results), "profiled sweep case failed"
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -467,11 +476,8 @@ def bench_gaussian_sweep(context, reps):
             cycles["baseline"] / cycles["vtq"] if cycles["vtq"] else 0.0
         )
     for label, soa in (("scalar", False), ("soa", True)):
-        prev_soa = set_soa_engine(soa)
-        try:
+        with _soa_engine(soa):
             elapsed = _best_of(sweep, reps)
-        finally:
-            set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
             "cases_per_s": len(specs) / elapsed,
@@ -516,10 +522,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.time()
 
-    from repro.experiments.parallel import jobs_from_env
-
     cpu_count = os.cpu_count() or 1
-    jobs = args.jobs if args.jobs is not None else min(jobs_from_env(), 4)
+    jobs = args.jobs if args.jobs is not None else min(settings.get("REPRO_JOBS"), 4)
     context = default_context(fast=True)
     specs = _case_list(args.fast)
 

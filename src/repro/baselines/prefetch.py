@@ -163,9 +163,6 @@ class PrefetchRTUnit(BaselineRTUnit):
     # -- overridden processing ------------------------------------------------------
 
     def process_warp(self, warp: TraceWarp) -> None:
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.begin_warp(warp)
         active = warp.active_rays()
         launched = len(active)
         steps = 0
@@ -174,14 +171,10 @@ class PrefetchRTUnit(BaselineRTUnit):
                 # With a warp buffer of one, "rays in the RT unit" are the
                 # current warp's rays.
                 self._refresh_votes(active)
-                if recorder is not None:
-                    recorder.pf_refresh(dict(self._votes))
                 # Stop tracking prefetches for treelets nobody wants now.
                 self._settle_outstanding(keep=self._popular_treelets())
             # Items at the rays' stack tops are what the next step fetches;
             # mark any the prefetcher brought in as used.
-            if recorder is not None:
-                recorder.pf_note(self._note_candidate_lines(active))
             self._note_accesses(active)
             latency, stepped, _ = warp_step(
                 self.bvh, active, self.mem, self.config, self.stats,
@@ -197,8 +190,6 @@ class PrefetchRTUnit(BaselineRTUnit):
         active = [r for r in active if not r.finished()]
         self.stats.rays_completed += launched - len(active)
         self.stats.warps_processed += 1
-        if recorder is not None:
-            recorder.end_warp(self.cycle)
 
     def run(self, on_complete=None) -> float:
         recorder = self.mem.recorder

@@ -177,10 +177,12 @@ def build_scene_bvh(
         if compressed_leaves:
             raise ValueError("compressed leaves are a triangle codec; "
                              "gaussian sets are stored uncompressed")
-        if layout_config == LayoutConfig():
+        default = LayoutConfig(line_bytes=layout_config.line_bytes)
+        if layout_config == default:
             # A gaussian record is fatter than a triangle: center (12) +
             # precision upper triangle (24) + opacity (4) + color (12) +
-            # padding at float32 = 64 bytes per primitive.
+            # padding at float32 = 64 bytes per primitive.  (Any cache
+            # line size keeps the splat record size.)
             layout_config = dataclasses.replace(layout_config, triangle_bytes=64)
     binary = build_binary_bvh(mesh, build_config)
     wide = collapse_to_wide(binary, width)

@@ -146,9 +146,6 @@ class VTQRTUnit:
         self._rays_in_unit += len(rays)
         # Writing the warp's ray records into the reserved L2 region;
         # store traffic only (stores retire through the write queue).
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.ray_write([ray.ray_id for ray in rays])
         for ray in rays:
             self.mem.ray_data_access(ray.ray_id, self.cycle, write=True)
 
@@ -206,9 +203,6 @@ class VTQRTUnit:
     def _process_treelet_queue(self, treelet: int, cb: RayCallback) -> None:
         """Fetch one treelet and drain its whole queue through the L1."""
         phase_start = self.cycle
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.tq_fetch(treelet)
         fetch_latency = self.mem.fetch_treelet(
             self.bvh.treelet_lines[treelet], self.cycle
         )
@@ -230,8 +224,6 @@ class VTQRTUnit:
             # "Ray data can also be preloaded similarly") the controller
             # fetches the next warp's records while the current warp
             # steps, hiding the load behind the previous warp's work.
-            if recorder is not None:
-                recorder.ray_load_ts([ray.ray_id for ray in rays])
             load_latency = 0.0
             for ray in rays:
                 load_latency = max(
@@ -280,8 +272,6 @@ class VTQRTUnit:
         # Section 4.3: the controller preloads the next treelet while this
         # one is processed, hiding up to this queue's processing time of
         # the next fetch.
-        if recorder is not None:
-            recorder.tq_end()
         self._preload_credit = work_cycles if self.vtq.preload_enabled else 0.0
         if self.timeline is not None:
             self.timeline.record(
@@ -313,9 +303,6 @@ class VTQRTUnit:
     def _process_final_warp(self, rays: List[SimRay], cb: RayCallback) -> None:
         """Ray-stationary traversal of grouped rays, with warp repacking."""
         phase_start = self.cycle
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.ray_load_final([ray.ray_id for ray in rays])
         load_latency = 0.0
         for ray in rays:
             load_latency = max(
@@ -355,8 +342,6 @@ class VTQRTUnit:
             ):
                 refill = self.queues.pop_any(self.config.warp_size - len(active))
                 if refill:
-                    if recorder is not None:
-                        recorder.ray_load_refill([ray.ray_id for ray in refill])
                     refill_latency = 0.0
                     for ray in refill:
                         refill_latency = max(

@@ -46,6 +46,7 @@ import time
 
 from repro import faults, settings
 from repro.bvh import build_scene_bvh
+from repro.bvh.layout import LayoutConfig
 from repro.core.config import VTQConfig
 from repro.errors import BudgetExceeded, CacheError, ReproError, SimulationError
 from repro.gpusim.budget import CaseBudget, budget_from_env, wall_clock_watchdog
@@ -129,6 +130,7 @@ def scene_and_bvh(name: str, setup: ScaledSetup):
     scene = load_scene(name, scale=setup.scene_scale)
     bvh = build_scene_bvh(
         scene.mesh,
+        layout_config=LayoutConfig(line_bytes=setup.gpu.line_bytes),
         treelet_budget_bytes=setup.gpu.treelet_bytes,
     )
     _scene_cache[key] = (scene, bvh)

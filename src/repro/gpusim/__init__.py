@@ -17,12 +17,13 @@ Modules:
 * :mod:`repro.gpusim.energy` — per-event energy accounting (AccelWattch
   stand-in).
 * :mod:`repro.gpusim.warp` — warps, trace jobs and SIMT bookkeeping.
-* :mod:`repro.gpusim.rt_unit` — the baseline ray-stationary RT unit.
+* :mod:`repro.gpusim.rt_unit` — the baseline ray-stationary RT unit
+  (scalar: driven by the Vulkan-style pipeline and ray queries).
 * :mod:`repro.gpusim.stats` — counters and timelines shared by all models.
 * :mod:`repro.gpusim.soa` / :mod:`repro.gpusim.soa_engines` — the
-  struct-of-arrays warp engine: precomputed render plans replayed through
-  pure timing loops (``REPRO_SOA_ENGINE``, default on; bit-identical to
-  the scalar engines).
+  struct-of-arrays warp engine every render runs: precomputed render
+  plans replayed through pure timing loops, bit-identical to the scalar
+  units (checked against the test suite's scalar reference renderer).
 """
 
 from repro.gpusim.config import GPUConfig, ScaledSetup, paper_config, scaled_config

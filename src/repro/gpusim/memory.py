@@ -57,8 +57,8 @@ class MemorySystem:
         # Optional observer invoked on every L1 BVH demand miss (the
         # treelet prefetcher hangs off this).
         self.l1_miss_hook = None
-        # Optional memory-trace recorder (repro.memtrace); the engines
-        # check it at each emission point.  Purely observational.
+        # Optional memory-trace recorder (repro.memtrace); the replay
+        # engines check it at each emission point.  Purely observational.
         self.recorder = None
         # Optional banked DRAM model (per SM; see repro.gpusim.dram).
         if config.detailed_dram:
@@ -140,8 +140,8 @@ class MemorySystem:
         later lanes) and DRAM model calls.  Only the statistics writes are
         deferred — all integer counters, folded with presence-exact
         guards, so ``SimStats.snapshot()`` is bit-identical to the scalar
-        path.  Not valid with a trace recorder attached (the engines fall
-        back to scalar in that case).
+        path.  A trace recorder needs no hook here: the replay engines
+        emit each step's ``lane_lines`` to it themselves.
         """
         config = self.config
         l1 = self.l1

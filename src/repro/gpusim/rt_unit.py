@@ -87,9 +87,6 @@ class BaselineRTUnit:
     def process_warp(self, warp: TraceWarp) -> None:
         """Traverse every ray of ``warp`` to completion (warp buffer = 1)."""
         start = self.cycle
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.begin_warp(warp)
         active = warp.active_rays()
         launched = len(active)
         while active:
@@ -106,8 +103,6 @@ class BaselineRTUnit:
         active = [r for r in active if not r.finished()]
         self.stats.rays_completed += launched - len(active)
         self.stats.warps_processed += 1
-        if recorder is not None:
-            recorder.end_warp(self.cycle)
         if self.timeline is not None:
             self.timeline.record(
                 "warp", "ray_stationary", start, self.cycle,

@@ -1,17 +1,18 @@
 """Struct-of-arrays render plans: the functional half of the SoA engine.
 
-The scalar engines interleave two very different jobs per warp step:
+The scalar policy units interleave two very different jobs per warp step:
 
 * the *functional* work — pop a stack entry, slab-test children,
   Moller-Trumbore triangles, update closest hits, shade; and
 * the *timing* work — price each lane's cache lines, charge the warp the
   slowest lane, advance the SM's cycle counter.
 
-Only the timing work depends on the policy (baseline / prefetch / vtq)
-and on the GPU configuration; the functional work is identical across
-all of them, because every policy unit visits the same BVH items in the
-same per-ray order (treelet-stationary scheduling changes *when* a ray's
-visits happen, never *which* or in what per-ray sequence).
+Only the timing work depends on the policy (baseline / prefetch /
+sorted / vtq) and on the GPU configuration; the functional work is
+identical across all of them, because every policy unit visits the same
+BVH items in the same per-ray order (treelet-stationary scheduling
+changes *when* a ray's visits happen, never *which* or in what per-ray
+sequence).
 
 This module exploits that split.  :func:`build_plan` runs the functional
 work **once per scene**, for *all* rays of a bounce at a time — a
@@ -28,14 +29,16 @@ no geometry, no shading, no numpy — and one plan serves every policy ×
 cache-config combination for the scene, which is where the end-to-end
 speedup comes from.
 
+Each secondary ray's trace also carries its Garanzha-Loop sort key, so
+the ``sorted`` policy re-forms its bounce-barrier warps from the plan
+instead of from live ray geometry.
+
 Plans are cached on the ``SceneBVH`` object itself (a small FIFO keyed
 by render parameters, ``REPRO_SOA_PLAN_CACHE`` entries), so sweeps that
-run several policies over one scene build the plan once.
-
-``REPRO_SOA_ENGINE`` (default on) gates the whole path;
-:func:`repro.tracing.render.render_scene` falls back to the scalar
-engines when it is off, when a memory-trace recorder is attached, or for
-the sorted policy (see ``RenderResult.engine_fallback_reason``).
+run several policies over one scene build the plan once.  Plan replay is
+the only way :func:`repro.tracing.render.render_scene` runs; the scalar
+policy units remain for the Vulkan-style pipeline, ray queries and the
+test suite's independent reference renderer.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from repro.bvh.traversal import (
     intersect_leaves_batch,
     pop_next_recording,
 )
+from repro.geometry.morton import ray_sort_keys
 
 class Trace:
     """One ray's complete traversal record for one bounce.
@@ -85,6 +89,11 @@ class Trace:
         state's pending treelets, top first; the vtq engine drains these
         one ``enter_treelet`` at a time.
 
+    ``sort_key``
+        The ray's Garanzha-Loop key (:func:`repro.geometry.morton.ray_sort_keys`:
+        direction octant, then origin Morton code) — set on secondary
+        rays only; the ``sorted`` policy orders each bounce by it.
+
     Every trace has at least one visit: ``init_traversal`` pushes the
     root with ``entry_t = tmin``, which can never be culled.
     """
@@ -92,7 +101,7 @@ class Trace:
     __slots__ = (
         "lines", "isleaf", "tests",
         "curwork", "cur_tre", "next_tre", "top_item",
-        "chains", "tail",
+        "chains", "tail", "sort_key",
     )
 
     def __init__(self):
@@ -105,6 +114,7 @@ class Trace:
         self.top_item: List[int] = []
         self.chains: Optional[Dict[int, Tuple[int, ...]]] = None
         self.tail: Tuple[int, ...] = ()
+        self.sort_key = 0
 
 
 class RenderPlan:
@@ -234,9 +244,21 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
     generation = [
         (slot, shading.begin_traversal(paths[slot])) for slot in range(len(paths))
     ]
+    bounds = scene.mesh.bounds()
     bounce = 0
     while generation:
         entries = [(Trace(), state) for _slot, state in generation]
+        if bounce:
+            # Sort keys are elementwise in each ray's origin/direction, so
+            # one call over the whole generation gives every SM's rays the
+            # keys a per-SM bounce barrier would compute.
+            keys = ray_sort_keys(
+                np.array([[s.ox, s.oy, s.oz] for _slot, s in generation]),
+                np.array([[s.dx, s.dy, s.dz] for _slot, s in generation]),
+                bounds.lo, bounds.hi,
+            ).tolist()
+            for (trace, _state), key in zip(entries, keys):
+                trace.sort_key = key
         _build_traces(bvh, entries)
         next_generation = []
         for (slot, state), (trace, _state) in zip(generation, entries):

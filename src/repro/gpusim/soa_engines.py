@@ -1,8 +1,9 @@
 """SoA replay engines: the timing half of the SoA warp engine.
 
-These engines are drop-in subclasses of the scalar policy units that
-consume :class:`~repro.gpusim.soa.Trace` records (via
-:class:`ReplayState`) instead of live ``RayTraversalState`` objects.
+These engines are the subclasses of the scalar policy units that
+``render_scene`` runs — every policy, every render.  They consume
+:class:`~repro.gpusim.soa.Trace` records (via :class:`ReplayState`)
+instead of live ``RayTraversalState`` objects.
 All functional work — popping, slab tests, triangle intersection,
 shading — happened once in :func:`repro.gpusim.soa.build_plan`; what
 remains per policy is the pure timing loop: consume the next visit of
@@ -31,6 +32,14 @@ The bit-exactness discipline (enforced by ``tests/test_soa_engine.py``):
   scalar engines can observe stats mid-run: the cycle-budget check at
   the top of the run loop, and the end of the run.
 
+A memory-trace recorder (``mem.recorder``, :mod:`repro.memtrace`) is fed
+from the replay loops here: per-warp ``begin_warp``/``step``/
+``end_warp``, the prefetcher's ``pf_refresh``/``pf_note`` and the VTQ
+phases' ray-data and treelet-fetch ops, each emitted just before the
+memory calls it describes (``step`` after its lanes are priced).  The
+remaining emission points (``submit``, the VTQ idle jumps, CTA
+save/restore) live in code these engines inherit.
+
 Subclass names deliberately contain the parent names
 (``SoABaselineRTUnit`` etc.) so fault specs matching on engine class
 names (``faults.SIM_STALL`` keys) keep firing.
@@ -45,6 +54,18 @@ from repro.core.rt_unit_vtq import VTQRTUnit
 from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.stats import StatsFold, TraversalMode
 from repro.gpusim.warp import TraceWarp, gaussian_leaf_cycles, step_latency
+
+
+def _record_step(recorder, mode, lane_lines, tests, leaf_lanes, gaussian) -> None:
+    """Emit one warp step to a memory-trace recorder.
+
+    Leaf-cost operands are recorded only on gaussian workloads, so
+    triangle traces stay byte-identical to the trace format's v1 shape.
+    """
+    if gaussian:
+        recorder.step(mode, lane_lines, tests=tests, leaf_lanes=leaf_lanes)
+    else:
+        recorder.step(mode, lane_lines)
 
 
 class ReplayState:
@@ -205,6 +226,9 @@ class SoABaselineRTUnit(BaselineRTUnit):
         config = self.config
         stats = self.stats
         batch = self.mem.access_lines_batch
+        recorder = self.mem.recorder
+        if recorder is not None:
+            recorder.begin_warp(warp)
         fold = self.fold
         mode = self._mode
         warp_size = config.warp_size
@@ -264,6 +288,8 @@ class SoABaselineRTUnit(BaselineRTUnit):
                     st.done = True
                     completed += 1
             max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
+            if recorder is not None:
+                _record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
             latency = step_latency(
                 config, len(lane_lines), max_latency, missing_lanes, misses,
                 gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
@@ -277,6 +303,8 @@ class SoABaselineRTUnit(BaselineRTUnit):
             steps += 1
             live = nxt
         self.cycle = cycle
+        if recorder is not None:
+            recorder.end_warp(cycle)
         stats.rays_completed += completed
         stats.warps_processed += 1
         stats.simt_active_sum = simt_sum
@@ -320,6 +348,9 @@ class SoAPrefetchRTUnit(PrefetchRTUnit):
         mode = self._mode
         warp_size = config.warp_size
         reevaluate = self.reevaluate_steps
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.begin_warp(warp)
         active = [r for r in warp.rays if not r.state.done]
         launched = len(active)
         cycle = self.cycle
@@ -335,7 +366,11 @@ class SoAPrefetchRTUnit(PrefetchRTUnit):
         while active:
             if steps % reevaluate == 0:
                 self._refresh_votes(active)
+                if recorder is not None:
+                    recorder.pf_refresh(dict(self._votes))
                 self._settle_outstanding(keep=self._popular_treelets())
+            if recorder is not None:
+                recorder.pf_note(self._note_candidate_lines(active))
             self._note_accesses(active)
             lane_lines = []
             tests = 0
@@ -373,6 +408,8 @@ class SoAPrefetchRTUnit(PrefetchRTUnit):
             max_latency, missing_lanes, misses = mem.access_lines_batch(
                 lane_lines, cycle, fold
             )
+            if recorder is not None:
+                _record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
             latency = step_latency(
                 config, len(lane_lines), max_latency, missing_lanes, misses,
                 gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
@@ -386,6 +423,8 @@ class SoAPrefetchRTUnit(PrefetchRTUnit):
             steps += 1
             active = nxt
         self.cycle = cycle
+        if recorder is not None:
+            recorder.end_warp(cycle)
         remaining = sum(1 for ray in active if not ray.state.done)
         stats.rays_completed += launched - remaining
         stats.warps_processed += 1
@@ -423,6 +462,9 @@ class SoAVTQRTUnit(VTQRTUnit):
         phase_start = self.cycle
         self._rays_in_unit += len(rays)
         mem = self.mem
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.ray_write([ray.ray_id for ray in rays])
         for ray in rays:
             mem.ray_data_access(ray.ray_id, self.cycle, write=True)
 
@@ -484,6 +526,10 @@ class SoAVTQRTUnit(VTQRTUnit):
                 max_latency, missing_lanes, misses = mem.access_lines_batch(
                     lane_lines, cycle, fold
                 )
+                if recorder is not None:
+                    _record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -539,6 +585,9 @@ class SoAVTQRTUnit(VTQRTUnit):
         config = self.config
         fold = self.fold
         mode = TraversalMode.TREELET_STATIONARY
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.tq_fetch(treelet)
         fetch_latency = mem.fetch_treelet(self.bvh.treelet_lines[treelet], self.cycle)
         preload = self.vtq.preload_enabled
         if preload:
@@ -568,6 +617,8 @@ class SoAVTQRTUnit(VTQRTUnit):
             rays = pop_warp(treelet, warp_size)
             if not rays:
                 break
+            if recorder is not None:
+                recorder.ray_load_ts([ray.ray_id for ray in rays])
             load_latency = 0.0
             for ray in rays:
                 lat = ray_data(ray.ray_id, cycle)
@@ -631,6 +682,10 @@ class SoAVTQRTUnit(VTQRTUnit):
                 if not lane_lines:
                     break
                 max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
+                if recorder is not None:
+                    _record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -662,6 +717,8 @@ class SoAVTQRTUnit(VTQRTUnit):
             stats.warps_processed += 1
 
         self.cycle = cycle
+        if recorder is not None:
+            recorder.tq_end()
         self._preload_credit = work_cycles if preload else 0.0
         stats.mode_cycles[mode] = mode_c
         stats.mode_tests[mode] = mode_t
@@ -683,6 +740,9 @@ class SoAVTQRTUnit(VTQRTUnit):
         config = self.config
         fold = self.fold
         mode = TraversalMode.FINAL_RAY_STATIONARY
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.ray_load_final([ray.ray_id for ray in rays])
         load_latency = 0.0
         for ray in rays:
             lat = mem.ray_data_access(ray.ray_id, self.cycle)
@@ -741,6 +801,10 @@ class SoAVTQRTUnit(VTQRTUnit):
                 max_latency, missing_lanes, misses = mem.access_lines_batch(
                     lane_lines, cycle, fold
                 )
+                if recorder is not None:
+                    _record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -767,6 +831,8 @@ class SoAVTQRTUnit(VTQRTUnit):
             if repack_enabled and active and len(active) < repack_threshold:
                 refill = self.queues.pop_any(warp_size - len(active))
                 if refill:
+                    if recorder is not None:
+                        recorder.ray_load_refill([ray.ray_id for ray in refill])
                     refill_latency = 0.0
                     for ray in refill:
                         lat = mem.ray_data_access(ray.ray_id, cycle)

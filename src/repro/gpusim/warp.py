@@ -4,10 +4,12 @@ A :class:`SimRay` is one path-tracing ray in flight: its traversal state
 plus identity (pixel, CTA, bounce).  A :class:`TraceWarp` is up to
 ``warp_size`` rays issued together by ``traceRayEXT()``.
 
-:func:`warp_step` is the core timing primitive shared by every RT-unit
-model: advance all unfinished rays of a warp by one BVH item visit, charge
-the slowest ray's memory latency plus the fixed-function intersection
-latency, and record SIMT efficiency.
+:func:`warp_step` is the timing primitive of the scalar RT-unit models
+(which the Vulkan-style pipeline and ray queries drive): advance all
+unfinished rays of a warp by one BVH item visit, charge the slowest
+ray's memory latency plus the fixed-function intersection latency, and
+record SIMT efficiency.  Renders replay plans through
+:mod:`repro.gpusim.soa_engines` instead, sharing :func:`step_latency`.
 
 Each lane advances through one :func:`repro.bvh.traversal.single_step`
 call; the batched kernels in :mod:`repro.geometry.batch` serve the SoA
@@ -100,8 +102,6 @@ def warp_step(
     step_leaves = 0
     gaussian = getattr(bvh, "prim_kind", "triangle") == "gaussian"
     item_lines = bvh.item_lines
-    recorder = mem.recorder
-    lane_lines = [] if recorder is not None else None
     for ray in rays:
         result = single_step(bvh, ray.state, in_treelet_only=in_treelet_only)
         if result is None:
@@ -115,8 +115,6 @@ def warp_step(
             missing_lanes += 1
             misses += ray_misses
         stepped.append(ray)
-        if lane_lines is not None:
-            lane_lines.append(item_lines[item])
         tests += ray_tests
         if is_leaf:
             step_leaves += 1
@@ -126,16 +124,9 @@ def warp_step(
     if not stepped:
         return 0.0, [], 0
     stats.triangle_tests += tests
-    # Leaf-cost operands are recorded (and priced) only on gaussian
-    # workloads, so triangle traces and cycle counts stay byte-identical
-    # to the historical model.
-    cost_tests = tests if gaussian else 0
-    cost_leaves = step_leaves if gaussian else 0
-    if recorder is not None:
-        recorder.step(mode, lane_lines, tests=cost_tests, leaf_lanes=cost_leaves)
     latency = step_latency(
         config, len(stepped), max_latency, missing_lanes, misses,
-        gaussian_leaf_cycles(config, cost_tests, cost_leaves) if gaussian else 0.0,
+        gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
     )
     stats.record_simt(len(stepped), config.warp_size)
     stats.record_mode(mode, latency, tests)

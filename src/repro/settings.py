@@ -88,8 +88,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_CYCLE_BUDGET", "float", None,
              "per-case simulated-cycle budget (default: none)", minimum=1),
         # -- simulator ------------------------------------------------------------
-        Knob("REPRO_SOA_ENGINE", "bool", True,
-             "plan + replay engine; off forces the scalar per-ray engines"),
         Knob("REPRO_SOA_PLAN_CACHE", "int", 4,
              "render plans cached per BVH", minimum=1),
         Knob("REPRO_SANITIZE", "bool", False,

@@ -3,10 +3,13 @@
 ``render_scene`` is the single entry point the examples, tests and
 benchmark harness use.  It:
 
-1. builds primary rays from the scene camera (one per pixel),
-2. groups pixels into CTAs and assigns CTAs round-robin to SMs,
-3. instantiates the selected RT-unit engine per SM over a shared L2,
-4. drives path tracing (shading between traversals) through the engines,
+1. fetches the scene's render plan (:func:`repro.gpusim.soa.get_plan`:
+   primary rays, path tracing and shading, run once per scene and
+   shared by every policy and GPU configuration),
+2. groups path slots into CTAs and assigns CTAs round-robin to SMs,
+3. instantiates the selected replay engine per SM over a shared L2,
+4. replays each bounce's traces through the engines, re-issuing the
+   rays the plan says survived shading,
 5. returns the image plus merged statistics and the cycle count (max over
    SMs — they run concurrently).
 
@@ -27,19 +30,16 @@ hash-based sampling; traversal is exact), which the test suite exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro import faults, settings
-from repro.baselines.prefetch import PrefetchRTUnit
 from repro.errors import TraceError
 from repro.core.config import VTQConfig
-from repro.core.rt_unit_vtq import VTQRTUnit
 from repro.core.virtualization import CTATracker, cta_state_bytes
-from repro.gpusim.config import GPUConfig, ScaledSetup
+from repro.gpusim.config import ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
-from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.soa import get_plan
 from repro.gpusim.soa_engines import (
     ReplayState,
@@ -49,7 +49,6 @@ from repro.gpusim.soa_engines import (
 )
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
-from repro.tracing.path_tracer import PathState, ShadingEngine
 
 POLICIES = ("baseline", "prefetch", "sorted", "vtq")
 
@@ -67,9 +66,8 @@ class RenderResult:
     # One ActivityTimeline per SM when the render was asked to record
     # spans (``record_timeline=True``); empty otherwise.
     timelines: List = field(default_factory=list)
-    # Which engine actually ran: "soa" (plan replay) or "scalar", with the
-    # reason for falling back when the SoA path was bypassed.
-    engine: str = "scalar"
+    # Always None: every render replays its plan.  Kept only because the
+    # benchmark's span tracer (perfbench/spans.py) reads it.
     engine_fallback_reason: Optional[str] = None
 
     def mean_radiance(self) -> float:
@@ -109,48 +107,7 @@ def render_scene(
             f"but the render runs {policy!r}"
         )
     config = setup.gpu
-    width, height = setup.image_width, setup.image_height
-    pixels = width * height
-    spp = max(1, setup.samples_per_pixel)
-
-    # The SoA engine replays a precomputed render plan (one functional
-    # pass per scene, shared across policies and configs) through pure
-    # timing loops.  Fall back to the scalar engines when it cannot
-    # reproduce the scalar path exactly: the memory-trace recorder hooks
-    # into warp internals the replay does not execute, and the sorted
-    # policy re-forms warps from live ray geometry mid-render.
-    fallback_reason: Optional[str] = None
-    if not settings.get("REPRO_SOA_ENGINE"):
-        fallback_reason = "disabled"
-    elif trace_recorder is not None:
-        fallback_reason = "trace-recorder-attached"
-    elif policy == "sorted":
-        fallback_reason = "policy-sorted"
-    plans = None
-    if fallback_reason is None:
-        plans = get_plan(scene, bvh, setup, seed)
-
-    if plans is None:
-        shading = ShadingEngine(scene, bvh, max_bounces=setup.max_bounces, seed=seed)
-        # Sample-major path slots: all of sample 0's pixels, then sample
-        # 1's, and so on — consecutive slots stay screen-coherent within a
-        # sample, which is how a GPU would dispatch multi-spp raygen CTAs
-        # too.
-        paths: List[PathState] = []
-        for sample in range(spp):
-            jitter = sample if spp > 1 else None
-            primaries = scene.camera.primary_rays(width, height, jitter_seed=jitter)
-            paths.extend(
-                shading.make_primary(
-                    p, primaries.origins[p], primaries.directions[p], sample=sample
-                )
-                for p in range(pixels)
-            )
-    else:
-        # Plan replay never shades or touches path state; the functional
-        # results live in the plan.
-        shading = None
-        paths = []
+    plan = get_plan(scene, bvh, setup, seed)
 
     shared_l2 = make_shared_l2(config)
     sm_stats = [SimStats() for _ in range(config.num_sms)]
@@ -159,14 +116,7 @@ def render_scene(
     if vtq_config is None:
         vtq_config = VTQConfig().scaled_to(config.max_virtual_rays_per_sm)
 
-    if plans is not None:
-        driver_cls = _SoAVTQDriver if policy == "vtq" else _SoAWarpDriver
-    elif policy == "vtq":
-        driver_cls = _VTQDriver
-    elif policy == "sorted":
-        driver_cls = _SortedDriver
-    else:
-        driver_cls = _WarpDriver
+    driver_cls = _DRIVERS[policy]
     per_sm_cycles: List[float] = []
     next_ray_id = [0]
 
@@ -179,9 +129,8 @@ def render_scene(
             timeline = ActivityTimeline(sm)
             timelines.append(timeline)
         driver = driver_cls(
-            sm, scene, bvh, setup, shading, paths, mems[sm], sm_stats[sm],
-            vtq_config, policy, next_ray_id, cycle_budget=cycle_budget,
-            timeline=timeline, plans=plans,
+            sm, bvh, config, plan, mems[sm], sm_stats[sm], vtq_config, policy,
+            next_ray_id, cycle_budget=cycle_budget, timeline=timeline,
         )
         if trace_recorder is not None:
             trace_recorder.begin_sm()
@@ -194,13 +143,9 @@ def render_scene(
     merged = SimStats()
     for stats in sm_stats:
         merged.merge(stats)
-    if plans is not None:
-        accum = plans.image_accum()
-    else:
-        accum = np.zeros((pixels, 3))
-        for path in paths:
-            accum[path.pixel] += path.radiance
-    image = (accum / spp).reshape(height, width, 3)
+    image = (plan.image_accum() / plan.spp).reshape(
+        setup.image_height, setup.image_width, 3
+    )
     result = RenderResult(
         policy=policy,
         image=image,
@@ -209,8 +154,6 @@ def render_scene(
         per_sm_cycles=per_sm_cycles,
         scene_name=getattr(scene, "name", ""),
         timelines=timelines,
-        engine="scalar" if plans is None else "soa",
-        engine_fallback_reason=fallback_reason,
     )
     _apply_stats_fault(result)
     from repro.gpusim.sanitize import check_render
@@ -248,41 +191,36 @@ def _apply_stats_fault(result: RenderResult) -> None:
 
 
 class _DriverBase:
-    """Pixel -> CTA -> warp plumbing shared by all policies."""
+    """Pixel -> CTA -> warp plumbing shared by all policies.
+
+    Rays carry :class:`ReplayState` objects built from the plan's traces;
+    shading is a trace lookup (the plan recorded which paths survived
+    each bounce).  Rays are issued and ray ids allocated in the order a
+    live path tracer would issue them — primaries CTA by CTA, then each
+    completion's survivors — which keeps the ray-data address stream
+    identical to the scalar units'.
+    """
 
     def __init__(
-        self, sm, scene, bvh, setup, shading, paths, mem, stats,
-        vtq_config, policy, ray_id_counter, cycle_budget=None, timeline=None,
-        plans=None,
+        self, sm, bvh, config, plan, mem, stats, vtq_config, policy,
+        ray_id_counter, cycle_budget=None, timeline=None,
     ):
         self.sm = sm
-        self.plans = plans
-        self.cycle_budget = cycle_budget
-        self.timeline = timeline
-        self.scene = scene
         self.bvh = bvh
-        self.setup = setup
-        self.shading = shading
-        self.paths = paths
+        self.config = config
+        self.plan = plan
         self.mem = mem
         self.stats = stats
         self.vtq_config = vtq_config
         self.policy = policy
         self._ray_id_counter = ray_id_counter
-        self.config = setup.gpu
+        self.cycle_budget = cycle_budget
+        self.timeline = timeline
 
     def _new_ray_id(self) -> int:
         rid = self._ray_id_counter[0]
         self._ray_id_counter[0] += 1
         return rid
-
-    def _num_slots(self) -> int:
-        """How many path slots the render covers (pixels x samples)."""
-        return len(self.paths)
-
-    def _begin_ray_state(self, slot: int):
-        """The traversal state a primary ray starts with for ``slot``."""
-        return self.shading.begin_traversal(self.paths[slot])
 
     def _sm_ctas(self) -> List[List[int]]:
         """Path-slot lists of the CTAs this SM owns (round-robin assignment).
@@ -291,7 +229,7 @@ class _DriverBase:
         spp > 1 each sample's screen tiles form their own CTAs.
         """
         config = self.config
-        slots = self._num_slots()
+        slots = self.plan.num_slots
         ctas = []
         for cta_start in range(0, slots, config.cta_threads):
             cta_id = cta_start // config.cta_threads
@@ -302,6 +240,7 @@ class _DriverBase:
     def _primary_cta_warps(self) -> List[tuple]:
         """``(cta_id, warps)`` for each CTA this SM owns, launch-staggered."""
         config = self.config
+        traces = self.plan.traces
         out = []
         for local_idx, pixel_list in enumerate(self._sm_ctas()):
             cta_id = pixel_list[0] // config.cta_threads
@@ -317,7 +256,7 @@ class _DriverBase:
             for w_start in range(0, len(pixel_list), config.warp_size):
                 lane_pixels = pixel_list[w_start : w_start + config.warp_size]
                 rays = [
-                    SimRay(self._new_ray_id(), p, cta_id, 0, self._begin_ray_state(p))
+                    SimRay(self._new_ray_id(), p, cta_id, 0, ReplayState(traces[(p, 0)]))
                     for p in lane_pixels
                 ]
                 warps.append(TraceWarp(rays, cta_id, ready_cycle=float(base_ready)))
@@ -325,14 +264,15 @@ class _DriverBase:
         return out
 
     def _shade_ray(self, ray: SimRay) -> Optional[SimRay]:
-        """Shade a completed traversal; returns the next bounce's ray or None."""
-        path = self.paths[ray.pixel]
-        if self.shading.shade(path, ray.state):
-            return SimRay(
-                self._new_ray_id(), ray.pixel, ray.cta_id, path.bounce,
-                self.shading.begin_traversal(path),
-            )
-        return None
+        """The next bounce's ray for a completed traversal, or None when
+        the plan says the path ended there."""
+        trace = self.plan.traces.get((ray.pixel, ray.bounce + 1))
+        if trace is None:
+            return None
+        return SimRay(
+            self._new_ray_id(), ray.pixel, ray.cta_id, ray.bounce + 1,
+            ReplayState(trace),
+        )
 
 
 class _WarpDriver(_DriverBase):
@@ -344,20 +284,12 @@ class _WarpDriver(_DriverBase):
     inefficiency on secondary bounces.
     """
 
-    def _make_engine(self):
-        if self.policy == "prefetch":
-            return PrefetchRTUnit(
-                self.bvh, self.config, self.mem, self.stats,
-                cycle_budget=self.cycle_budget,
-            )
-        return BaselineRTUnit(
-            self.bvh, self.config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
-
     def run(self) -> float:
         config = self.config
-        engine = self._make_engine()
+        unit = SoAPrefetchRTUnit if self.policy == "prefetch" else SoABaselineRTUnit
+        engine = unit(
+            self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
+        )
         engine.timeline = self.timeline
 
         def on_complete(warp: TraceWarp, cycle: float) -> None:
@@ -385,25 +317,18 @@ class _SortedDriver(_DriverBase):
 
     Primary rays are traced as-is (they are screen-coherent already); each
     bounce's secondary rays are collected at a bounce barrier, sorted by
-    (direction octant, origin Morton code), re-formed into warps and
-    traced.  The sort is charged per key — the overhead that made the
-    paper prefer treelet queues ("taking almost as long as ray traversal
-    itself").
+    the (direction octant, origin Morton code) key the plan stored for
+    them, re-formed into warps and traced.  The sort is charged per key —
+    the overhead that made the paper prefer treelet queues ("taking
+    almost as long as ray traversal itself").
     """
 
     def run(self) -> float:
-        import numpy as np
-
-        from repro.geometry.morton import ray_sort_keys
-        from repro.gpusim.rt_unit import BaselineRTUnit
-
         config = self.config
-        engine = BaselineRTUnit(
-            self.bvh, config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
+        engine = SoABaselineRTUnit(
+            self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
         )
         engine.timeline = self.timeline
-        bounds = self.scene.mesh.bounds()
         next_bounce: List[SimRay] = []
 
         def on_complete(warp: TraceWarp, cycle: float) -> None:
@@ -418,20 +343,13 @@ class _SortedDriver(_DriverBase):
         cycle = engine.run(on_complete)
 
         while next_bounce:
-            rays = next_bounce[:]
+            # A stable sort, like the argsort a live bounce barrier runs.
+            rays = sorted(next_bounce, key=lambda ray: ray.state.tr.sort_key)
             next_bounce.clear()
-            origins = np.array(
-                [[r.state.ox, r.state.oy, r.state.oz] for r in rays]
-            )
-            directions = np.array(
-                [[r.state.dx, r.state.dy, r.state.dz] for r in rays]
-            )
-            keys = ray_sort_keys(origins, directions, bounds.lo, bounds.hi)
-            order = np.argsort(keys, kind="stable")
             sort_cost = len(rays) * config.ray_sort_cycles_per_key
             ready = cycle + config.shade_cycles_per_warp + sort_cost
-            for start in range(0, len(order), config.warp_size):
-                group = [rays[i] for i in order[start : start + config.warp_size]]
+            for start in range(0, len(rays), config.warp_size):
+                group = rays[start : start + config.warp_size]
                 engine.submit(TraceWarp(group, group[0].cta_id, ready_cycle=ready))
             cycle = engine.run(on_complete)
         return cycle
@@ -446,16 +364,13 @@ class _VTQDriver(_DriverBase):
     next bounce's rays and suspends again.
     """
 
-    def _make_engine(self):
-        return VTQRTUnit(
-            self.bvh, self.config, self.vtq_config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
-
     def run(self) -> float:
         config = self.config
         vtq = self.vtq_config
-        engine = self._make_engine()
+        engine = SoAVTQRTUnit(
+            self.bvh, config, vtq, self.mem, self.stats,
+            cycle_budget=self.cycle_budget,
+        )
         engine.timeline = self.timeline
         tracker = CTATracker()
         state_bytes = cta_state_bytes(config)
@@ -519,52 +434,9 @@ class _VTQDriver(_DriverBase):
         return engine.run(on_ray_complete)
 
 
-class _SoAPlanMixin:
-    """Plan-replay overrides shared by the SoA drivers.
-
-    Rays carry :class:`ReplayState` objects built from the plan's traces;
-    shading is replaced by a trace lookup (the plan recorded which paths
-    survived each bounce), so the drivers' CTA/warp plumbing, completion
-    callbacks and ray-id allocation run unchanged — in the same order as
-    the scalar path, which keeps the ray-data address stream identical.
-    """
-
-    def _num_slots(self) -> int:
-        return self.plans.num_slots
-
-    def _begin_ray_state(self, slot: int):
-        return ReplayState(self.plans.traces[(slot, 0)])
-
-    def _shade_ray(self, ray: SimRay) -> Optional[SimRay]:
-        trace = self.plans.traces.get((ray.pixel, ray.bounce + 1))
-        if trace is None:
-            return None
-        return SimRay(
-            self._new_ray_id(), ray.pixel, ray.cta_id, ray.bounce + 1,
-            ReplayState(trace),
-        )
-
-
-class _SoAWarpDriver(_SoAPlanMixin, _WarpDriver):
-    """Plan replay through the SoA baseline/prefetch units."""
-
-    def _make_engine(self):
-        if self.policy == "prefetch":
-            return SoAPrefetchRTUnit(
-                self.bvh, self.config, self.mem, self.stats,
-                cycle_budget=self.cycle_budget,
-            )
-        return SoABaselineRTUnit(
-            self.bvh, self.config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
-
-
-class _SoAVTQDriver(_SoAPlanMixin, _VTQDriver):
-    """Plan replay through the SoA VTQ unit."""
-
-    def _make_engine(self):
-        return SoAVTQRTUnit(
-            self.bvh, self.config, self.vtq_config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
+_DRIVERS = {
+    "baseline": _WarpDriver,
+    "prefetch": _WarpDriver,
+    "sorted": _SortedDriver,
+    "vtq": _VTQDriver,
+}

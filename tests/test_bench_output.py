@@ -38,7 +38,7 @@ class TestDefaultOutputPath:
 
 class TestSerialSweepPhase:
     def test_engine_legs(self):
-        """The serial sweep times the two engines and nothing else."""
+        """The serial sweep times the one replay engine and nothing else."""
         from repro.experiments.parallel import CaseSpec
         from repro.experiments.runner import default_context
 
@@ -46,12 +46,12 @@ class TestSerialSweepPhase:
         row = bench.bench_serial(
             default_context(fast=True), [CaseSpec("BUNNY", "baseline")], 1
         )
-        assert set(row) == {"scalar", "soa", "soa_speedup"}
-        assert row["soa_speedup"] == row["scalar"]["wall_s"] / row["soa"]["wall_s"]
+        assert set(row) == {"wall_s", "cases_per_s"}
+        assert row["cases_per_s"] == 1 / row["wall_s"]
 
     def test_parallel_speedup_is_against_the_serial_soa_leg(self):
         bench = _load_bench()
-        serial = {"scalar": {"wall_s": 8.0}, "soa": {"wall_s": 2.0}}
+        serial = {"wall_s": 2.0, "cases_per_s": 4.0}
         assert bench.speedup_vs_serial(serial, 0.5, cpu_count=2) == 4.0
         assert bench.speedup_vs_serial(serial, 0.5, cpu_count=1) is None
 

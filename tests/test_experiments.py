@@ -1,5 +1,6 @@
 """Tests for the experiment runner, figures and report rendering."""
 
+import dataclasses
 import json
 
 import pytest
@@ -38,6 +39,25 @@ class TestRunner:
         assert 0 <= m["simt_efficiency"] <= 1
         assert m["scene"] == "BUNNY"
         assert m["policy"] == "baseline"
+
+    @pytest.mark.parametrize("scene_name", ["BUNNY", "GSPL1"])
+    def test_scene_bvh_lays_out_at_the_gpu_line_size(self, ctx, scene_name):
+        """A line-size override must reach the BVH layout: the caches
+        price 64-byte lines, so item line ids must be 64-byte ones too.
+        Splat records stay 64 bytes whatever the line size."""
+        from repro.experiments.runner import scene_and_bvh
+
+        wide = dataclasses.replace(
+            ctx.setup, gpu=dataclasses.replace(ctx.setup.gpu, line_bytes=64)
+        )
+        _scene, narrow_bvh = scene_and_bvh(scene_name, ctx.setup)
+        _scene, bvh = scene_and_bvh(scene_name, wide)
+        assert bvh.layout.config.line_bytes == 64
+        assert bvh.item_lines != narrow_bvh.item_lines
+        assert (bvh.layout.config.triangle_bytes
+                == narrow_bvh.layout.config.triangle_bytes)
+        if scene_name == "GSPL1":
+            assert bvh.layout.config.triangle_bytes == 64
 
     def test_metrics_json_serializable(self, ctx):
         m = run_case("BUNNY", "baseline", ctx)

@@ -7,14 +7,13 @@ protocol the BVH build consumes, traversal dispatches on
 ``bvh.prim_kind`` and the timing engines price leaves with the
 alpha-evaluation cost model.  These tests pin the pieces the kernel
 equivalence suite does not: scene determinism, typed lookup errors, the
-leaf-row layout, the qmax contract — and the headline satellite
-requirement, SoA-vs-scalar bit-exactness on two splat scenes under all
-three policies.
+leaf-row layout, the qmax contract — and plan-replay bit-exactness
+against the scalar reference renderer (``tests/scalar_reference.py``) on
+two splat scenes under every policy.
 """
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from repro.scenes.gaussians import (
     is_gaussian_scene,
 )
 from repro.tracing import render_scene
+from tests.scalar_reference import reference_render
 
 SCENES = ("GSPL1", "GSPL2")
 POLICIES = ("baseline", "prefetch", "vtq")
@@ -194,41 +194,21 @@ class TestGaussianBVH:
 
 
 # ---------------------------------------------------------------------------
-# SoA engine bit-exactness on splat scenes (the satellite requirement)
-
-
-@pytest.fixture(autouse=True)
-def _soa_restored(monkeypatch):
-    """SoA on by default; monkeypatch restores ``REPRO_SOA_ENGINE``."""
-    monkeypatch.setenv("REPRO_SOA_ENGINE", "1")
-
-
-def _render_both(scene, bvh, setup, policy, **kw):
-    os.environ["REPRO_SOA_ENGINE"] = "0"
-    scalar = render_scene(scene, bvh, setup, policy=policy, **kw)
-    os.environ["REPRO_SOA_ENGINE"] = "1"
-    soa = render_scene(scene, bvh, setup, policy=policy, **kw)
-    return scalar, soa
-
-
-def _assert_identical(scalar, soa):
-    assert scalar.engine == "scalar"
-    assert soa.engine == "soa"
-    assert soa.engine_fallback_reason is None
-    assert soa.stats.snapshot() == scalar.stats.snapshot()
-    assert soa.image.tobytes() == scalar.image.tobytes()
-    assert soa.cycles == scalar.cycles
-    assert soa.per_sm_cycles == scalar.per_sm_cycles
+# plan-replay bit-exactness on splat scenes
 
 
 class TestSoABitExactnessOnSplats:
     @pytest.mark.parametrize("scene_name", SCENES)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES + ("sorted",))
     def test_stats_image_cycles(self, ctx, scene_name, policy):
         scene, bvh = scene_and_bvh(scene_name, ctx.setup)
         assert bvh.prim_kind == "gaussian"
-        scalar, soa = _render_both(scene, bvh, ctx.setup, policy)
-        _assert_identical(scalar, soa)
+        reference = reference_render(scene, bvh, ctx.setup, policy=policy)
+        replay = render_scene(scene, bvh, ctx.setup, policy=policy)
+        assert replay.stats.snapshot() == reference.stats.snapshot()
+        assert replay.image.tobytes() == reference.image.tobytes()
+        assert replay.cycles == reference.cycles
+        assert replay.per_sm_cycles == reference.per_sm_cycles
 
     def test_policies_agree_on_image_not_cycles(self, ctx):
         """Timing policies reorder splat work, never change the render."""
@@ -288,11 +268,14 @@ class TestLeafCostReplay:
 # end-to-end: the case runner prices splats through the metrics dict
 
 
-def test_run_case_metrics_stable_across_engines(ctx, monkeypatch):
+def test_run_case_metrics_stable_across_engines(ctx):
+    """The case runner's metrics equal those of the scalar reference."""
     from repro.experiments import runner
 
-    monkeypatch.setenv("REPRO_SOA_ENGINE", "0")
-    scalar = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
-    monkeypatch.setenv("REPRO_SOA_ENGINE", "1")
-    fast = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(fast, sort_keys=True)
+    served = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
+    scene, bvh = scene_and_bvh("GSPL2", ctx.setup)
+    expected = runner.extract_metrics(
+        reference_render(scene, bvh, ctx.setup, policy="vtq"), ctx.setup
+    )
+    expected.update(scene="GSPL2", policy="vtq")
+    assert json.dumps(served, sort_keys=True) == json.dumps(expected, sort_keys=True)

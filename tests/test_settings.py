@@ -53,7 +53,7 @@ def _below(knob) -> str:
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     """Start every test from an environment with no REPRO_* set (CI legs
-    export REPRO_SOA_ENGINE / REPRO_JOBS)."""
+    export REPRO_JOBS)."""
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
 
@@ -154,12 +154,6 @@ class TestFormerMisparses:
         assert cache.lookup("k") is None
         assert len(cache) == 0
 
-    def test_soa_engine_no_forces_the_scalar_engine(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA_ENGINE", "no")
-        scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
-        result = render_scene(scene, bvh, ctx.setup, policy="baseline")
-        assert (result.engine, result.engine_fallback_reason) == ("scalar", "disabled")
-
     def test_sanitize_2_is_refused(self, ctx, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "2")
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
@@ -198,6 +192,21 @@ class TestCheckAllAndEffective:
         assert effective["REPRO_MEMTRACE"] == {"value": "0", "source": "undeclared"}
         assert effective["REPRO_SOMETHING_RETIRED"]["value"] == "yes please"
         assert build_manifest(metrics={})["settings"] == effective
+
+    def test_retired_soa_engine_knob_is_undeclared_and_inert(self, ctx, monkeypatch):
+        """``REPRO_SOA_ENGINE`` no longer exists: a stray setting is
+        reported as undeclared and every render still replays its plan."""
+        scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
+        plain = render_scene(scene, bvh, ctx.setup, policy="baseline")
+        monkeypatch.setenv("REPRO_SOA_ENGINE", "0")
+        settings.check_all()
+        assert settings.effective()["REPRO_SOA_ENGINE"] == {
+            "value": "0", "source": "undeclared"}
+        stray = render_scene(scene, bvh, ctx.setup, policy="baseline")
+        assert stray.engine_fallback_reason is None
+        assert stray.stats.snapshot() == plain.stats.snapshot()
+        assert stray.image.tobytes() == plain.image.tobytes()
+        assert stray.per_sm_cycles == plain.per_sm_cycles
 
     def test_effective_values_and_sources(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "3")

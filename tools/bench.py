@@ -6,10 +6,8 @@ Times a fixed sweep of fast-scene cases through four phases —
 * ``bvh_build``      — cold scene + BVH construction per scene,
 * ``kernel``         — render-plan intersection math, scalar loops vs
                        the vectorized batch kernels, at several batch sizes,
-* ``serial_sweep``   — the case list end-to-end in one process (scalar
-                       engines vs the SoA replay engine),
-* ``soa_sweep``      — the SoA engine's end-to-end speedup over the
-                       scalar engines on the same serial sweep,
+* ``serial_sweep``   — the case list end-to-end in one process (plan
+                       replay, render plans warm),
 * ``parallel_sweep`` — the same list through the parallel executor
                        (``min(cpu_count, 4)`` workers by default) into a
                        fresh disk cache,
@@ -22,14 +20,12 @@ Times a fixed sweep of fast-scene cases through four phases —
                        wall-clock ratio and the surrogate's true max
                        relative cycle error (docs/SURROGATE.md),
 * ``gaussian_sweep``  — the splat workload (docs/GAUSSIAN.md): two
-                       Gaussian scenes under all three policies, scalar
-                       vs SoA engines, with the per-scene VTQ speedup
-                       the policy table reports,
+                       Gaussian scenes under all three policies, with
+                       the per-scene VTQ speedup the policy table reports,
 
 and writes ``BENCH_<date>.json`` with per-phase wall time, cases/sec and
-speedups (batch kernels vs scalar loops, SoA vs scalar engines,
-parallel vs serial SoA, replay vs live).  Run
-from the repository root:
+speedups (batch kernels vs scalar loops, parallel vs serial, replay vs
+live).  Run from the repository root:
 
     PYTHONPATH=src python tools/bench.py --fast
 
@@ -46,7 +42,6 @@ import platform
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -62,20 +57,6 @@ from repro.geometry.batch import (  # noqa: E402
     safe_inverse,
 )
 from repro import settings  # noqa: E402
-
-
-@contextmanager
-def _soa_engine(enabled: bool):
-    """Run the body with ``REPRO_SOA_ENGINE`` forced on or off."""
-    previous = os.environ.get("REPRO_SOA_ENGINE")
-    os.environ["REPRO_SOA_ENGINE"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_SOA_ENGINE"]
-        else:
-            os.environ["REPRO_SOA_ENGINE"] = previous
 
 
 def _case_list(fast: bool):
@@ -238,13 +219,10 @@ def bench_kernels(reps=5):
 
 
 def bench_serial(context, specs, reps):
-    """The sweep in-process: scalar engines, then SoA replay.
+    """The sweep in-process, at the steady-state replay rate.
 
-    Both labels produce bit-identical results (enforced by
-    tests/test_soa_engine.py); only wall clock differs.  The "soa" label
-    is the steady-state replay rate — the warm-up sweep builds the render
-    plans, so best-of reps measures plan reuse, which is how sweeps
-    amortize the plan cost in practice.
+    The warm-up sweep builds the render plans, so best-of reps measures
+    plan reuse, which is how sweeps amortize the plan cost in practice.
     """
     nocache = _nocache(context)
 
@@ -252,42 +230,32 @@ def bench_serial(context, specs, reps):
         results = run_cases(specs, nocache, jobs=1, record_failures=False)
         assert all(m is not None for m, _ in results), "sweep case failed"
 
-    sweep()  # warm the per-process scene cache (and the SoA plan cache)
-    out = {}
-    for label, soa in (("scalar", False), ("soa", True)):
-        with _soa_engine(soa):
-            elapsed = _best_of(sweep, reps)
-        out[label] = {
-            "wall_s": elapsed,
-            "cases_per_s": len(specs) / elapsed,
-        }
-    out["soa_speedup"] = out["scalar"]["wall_s"] / out["soa"]["wall_s"]
-    return out
+    sweep()  # warm the per-process scene cache (and the plan cache)
+    elapsed = _best_of(sweep, reps)
+    return {"wall_s": elapsed, "cases_per_s": len(specs) / elapsed}
 
 
 def speedup_vs_serial(serial, parallel_wall_s, cpu_count):
-    """The parallel sweep's speedup over the serial ``soa`` leg.
+    """The parallel sweep's speedup over the serial sweep.
 
-    Pool workers run the SoA engine, so the serial leg they are compared
-    against is the SoA one too.  ``None`` on one CPU, where the workers
-    only time-slice a core and the ratio would measure scheduler noise.
+    ``None`` on one CPU, where the workers only time-slice a core and the
+    ratio would measure scheduler noise.
     """
     if cpu_count == 1:
         return None
-    return serial["soa"]["wall_s"] / parallel_wall_s
+    return serial["wall_s"] / parallel_wall_s
 
 
 def profile_sweep(context, specs, top=20):
-    """One SoA sweep pass under cProfile; top-N cumulative hotspots."""
+    """One sweep pass under cProfile; top-N cumulative hotspots."""
     import cProfile
     import pstats
 
     nocache = _nocache(context)
     profiler = cProfile.Profile()
-    with _soa_engine(True):
-        profiler.enable()
-        results = run_cases(specs, nocache, jobs=1, record_failures=False)
-        profiler.disable()
+    profiler.enable()
+    results = run_cases(specs, nocache, jobs=1, record_failures=False)
+    profiler.disable()
     assert all(m is not None for m, _ in results), "profiled sweep case failed"
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -452,10 +420,8 @@ def bench_surrogate_sweep(context, seed=3):
 def bench_gaussian_sweep(context, reps):
     """The splat workload end-to-end: two Gaussian scenes x three policies.
 
-    Times the sweep under the scalar engines and under the SoA replay
-    engine (both produce bit-identical results — tests/test_soa_engine.py
-    enforces it on these exact scenes), and reports the per-scene policy
-    cycles so CI can watch the VTQ margin on the non-triangle workload.
+    Times the sweep and reports the per-scene policy cycles so CI can
+    watch the VTQ margin on the non-triangle workload.
     """
     scenes = ("GSPL1", "GSPL2")
     policies = ("baseline", "prefetch", "vtq")
@@ -475,14 +441,9 @@ def bench_gaussian_sweep(context, reps):
         out["vtq_speedup"][scene] = (
             cycles["baseline"] / cycles["vtq"] if cycles["vtq"] else 0.0
         )
-    for label, soa in (("scalar", False), ("soa", True)):
-        with _soa_engine(soa):
-            elapsed = _best_of(sweep, reps)
-        out[label] = {
-            "wall_s": elapsed,
-            "cases_per_s": len(specs) / elapsed,
-        }
-    out["soa_speedup"] = out["scalar"]["wall_s"] / out["soa"]["wall_s"]
+    elapsed = _best_of(sweep, reps)
+    out["wall_s"] = elapsed
+    out["cases_per_s"] = len(specs) / elapsed
     return out
 
 
@@ -512,7 +473,7 @@ def main(argv=None):
     parser.add_argument("--reps", type=int, default=2,
                         help="repetitions per timed phase (best-of)")
     parser.add_argument("--profile", action="store_true",
-                        help="run one SoA sweep pass under cProfile and embed "
+                        help="run one sweep pass under cProfile and embed "
                              "the top-20 cumulative hotspots in the report")
     parser.add_argument("-o", "--output", default=None,
                         help="output path (default: BENCH_<date>.json with a "
@@ -536,16 +497,8 @@ def main(argv=None):
         print(f"  kernel {name}: {row['speedup']:.1f}x batch over scalar")
     phases["serial_sweep"] = bench_serial(context, specs, args.reps)
     serial = phases["serial_sweep"]
-    print(f"  serial_sweep: scalar {serial['scalar']['wall_s']:.2f}s, "
-          f"soa {serial['soa']['wall_s']:.2f}s "
-          f"({serial['soa_speedup']:.2f}x)")
-    # The SoA engine's headline number gets its own phase entry so CI can
-    # assert on it without digging through serial_sweep's labels.
-    phases["soa_sweep"] = {
-        "wall_s": serial["soa"]["wall_s"],
-        "cases_per_s": serial["soa"]["cases_per_s"],
-        "soa_speedup": serial["soa_speedup"],
-    }
+    print(f"  serial_sweep: {serial['wall_s']:.2f}s "
+          f"({serial['cases_per_s']:.1f} cases/s)")
     phases["parallel_sweep"] = bench_parallel(context, specs, jobs)
     par = phases["parallel_sweep"]
     par["speedup_vs_serial"] = speedup_vs_serial(serial, par["wall_s"], cpu_count)
@@ -555,7 +508,7 @@ def main(argv=None):
               "(speedup n/a on a single-cpu host)")
     else:
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
-              f"({par['speedup_vs_serial']:.2f}x vs serial soa)")
+              f"({par['speedup_vs_serial']:.2f}x vs serial)")
     phases["memtrace_replay"] = bench_memtrace_replay(context, args.reps)
     replay = phases["memtrace_replay"]
     print(f"  memtrace_replay: {replay['case']} recorded in "
@@ -573,8 +526,7 @@ def main(argv=None):
     speedups = " ".join(
         f"{scene} {s:.2f}x" for scene, s in gauss["vtq_speedup"].items()
     )
-    print(f"  gaussian_sweep: scalar {gauss['scalar']['wall_s']:.2f}s, "
-          f"soa {gauss['soa']['wall_s']:.2f}s ({gauss['soa_speedup']:.2f}x); "
+    print(f"  gaussian_sweep: {gauss['wall_s']:.2f}s; "
           f"VTQ over baseline: {speedups}")
     if args.profile:
         phases["profile"] = profile_sweep(context, specs)

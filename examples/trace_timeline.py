@@ -17,6 +17,7 @@ from repro.bvh import build_scene_bvh
 from repro.core import VTQConfig, VTQRTUnit
 from repro.gpusim import MemorySystem, SimRay, SimStats, TraceWarp
 from repro.gpusim.config import default_setup
+from repro.gpusim.soa import ReplayState, trace_states
 from repro.gpusim.timeline import ActivityTimeline, write_chrome_trace
 from repro.scenes import load_scene, scene_names
 from repro.tracing.path_tracer import ShadingEngine
@@ -43,12 +44,15 @@ def main() -> int:
 
     shading = ShadingEngine(scene, bvh, max_bounces=setup.max_bounces)
     primaries = scene.camera.primary_rays(32, 32)
-    rays = [
-        SimRay(p, p, p // config.cta_threads, 0,
-               shading.begin_traversal(
-                   shading.make_primary(p, primaries.origins[p],
-                                        primaries.directions[p])))
+    states = [
+        shading.begin_traversal(
+            shading.make_primary(p, primaries.origins[p], primaries.directions[p]))
         for p in range(1024)
+    ]
+    # Trace the rays once; the RT unit replays the traces for timing.
+    rays = [
+        SimRay(p, p, p // config.cta_threads, 0, ReplayState(trace))
+        for p, trace in enumerate(trace_states(bvh, states))
     ]
     for start in range(0, len(rays), config.warp_size):
         engine.submit(TraceWarp(rays[start:start + 32],

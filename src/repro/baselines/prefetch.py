@@ -23,6 +23,8 @@ Model notes:
 * Prefetches are asynchronous: they install lines without stalling the
   demand access, but their DRAM traffic and (un)used-line statistics are
   tracked — the bandwidth cost the paper criticizes.
+* Rays carry :class:`~repro.gpusim.soa.ReplayState` cursors, as in every
+  policy unit; the votes read only their state surface.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from collections import Counter
 from typing import Dict, List, Optional, Set
 
 from repro.gpusim.config import GPUConfig
-from repro.gpusim.memory import AccessKind, MemorySystem
-from repro.gpusim.rt_unit import BaselineRTUnit
-from repro.gpusim.stats import SimStats, TraversalMode
-from repro.gpusim.warp import SimRay, TraceWarp, warp_step
+from repro.gpusim.memory import MemorySystem
+from repro.gpusim.rt_unit import BaselineRTUnit, record_step
+from repro.gpusim.stats import SimStats
+from repro.gpusim.warp import SimRay, TraceWarp, gaussian_leaf_cycles, step_latency
 
 
 class PrefetchRTUnit(BaselineRTUnit):
@@ -163,33 +165,112 @@ class PrefetchRTUnit(BaselineRTUnit):
     # -- overridden processing ------------------------------------------------------
 
     def process_warp(self, warp: TraceWarp) -> None:
-        active = warp.active_rays()
+        """Baseline traversal plus the prefetcher's per-step bookkeeping.
+
+        Every ``reevaluate_steps`` steps the votes are re-counted over the
+        warp's rays (with a warp buffer of one, "rays in the RT unit" are
+        the current warp's rays) and prefetches of treelets nobody wants
+        now are settled.  Before each step the items at the rays' stack
+        tops, which the step fetches, mark prefetched lines as used.  The
+        demand-miss hook fires live from inside the batched access path,
+        so prefetch issue order (and its effect on later lanes' hits) is
+        exact.
+        """
+        config = self.config
+        stats = self.stats
+        mem = self.mem
+        fold = self.fold
+        mode = self._mode
+        warp_size = config.warp_size
+        reevaluate = self.reevaluate_steps
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.begin_warp(warp)
+        active = [r for r in warp.rays if not r.state.done]
         launched = len(active)
+        cycle = self.cycle
+        mode_c = stats.mode_cycles.get(mode, 0.0)
+        mode_t = stats.mode_tests.get(mode, 0)
+        simt_sum = stats.simt_active_sum
+        simt_steps = 0
+        nodes = 0
+        leaves = 0
+        tris = 0
         steps = 0
+        gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
         while active:
-            if steps % self.reevaluate_steps == 0:
-                # With a warp buffer of one, "rays in the RT unit" are the
-                # current warp's rays.
+            if steps % reevaluate == 0:
                 self._refresh_votes(active)
-                # Stop tracking prefetches for treelets nobody wants now.
+                if recorder is not None:
+                    recorder.pf_refresh(dict(self._votes))
                 self._settle_outstanding(keep=self._popular_treelets())
-            # Items at the rays' stack tops are what the next step fetches;
-            # mark any the prefetcher brought in as used.
+            if recorder is not None:
+                recorder.pf_note(self._note_candidate_lines(active))
             self._note_accesses(active)
-            latency, stepped, _ = warp_step(
-                self.bvh, active, self.mem, self.config, self.stats,
-                self.cycle, self._mode,
-            )
-            if not stepped:
+            lane_lines = []
+            tests = 0
+            step_leaves = 0
+            nxt = []
+            # ray-stationary pop inlined, minus the ci/_ctre resets: ray-stationary
+            # replay never enters a chain, so both stay at their initial
+            # values (0 / None) for the ray's whole life.
+            for ray in active:
+                st = ray.state
+                p = st.p
+                n = st.n
+                if p >= n:
+                    st.done = True
+                    st.chw = False
+                    continue
+                tr = st.tr
+                p1 = p + 1
+                st.p = p1
+                chw = tr.curwork[p1]
+                st.chw = chw
+                lane_lines.append(tr.lines[p])
+                if tr.isleaf[p]:
+                    leaves += 1
+                    step_leaves += 1
+                    tests += tr.tests[p]
+                else:
+                    nodes += 1
+                if p1 == n and not chw and not tr.tail:
+                    st.done = True
+                else:
+                    nxt.append(ray)
+            if not lane_lines:
                 break
-            self.cycle += latency
+            max_latency, missing_lanes, misses = mem.access_lines_batch(
+                lane_lines, cycle, fold
+            )
+            if recorder is not None:
+                record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
+            latency = step_latency(
+                config, len(lane_lines), max_latency, missing_lanes, misses,
+                gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
+            )
+            simt_sum += len(lane_lines) / warp_size
+            simt_steps += 1
+            mode_c += latency
+            mode_t += tests
+            tris += tests
+            cycle += latency
             steps += 1
-            active = [r for r in active if not r.finished()]
-        # Rays can finish inside a step and be excluded from ``stepped``;
-        # refilter before counting completions.
-        active = [r for r in active if not r.finished()]
-        self.stats.rays_completed += launched - len(active)
-        self.stats.warps_processed += 1
+            active = nxt
+        self.cycle = cycle
+        if recorder is not None:
+            recorder.end_warp(cycle)
+        remaining = sum(1 for ray in active if not ray.state.done)
+        stats.rays_completed += launched - remaining
+        stats.warps_processed += 1
+        stats.simt_active_sum = simt_sum
+        stats.simt_steps += simt_steps
+        stats.node_visits += nodes
+        stats.leaf_visits += leaves
+        stats.triangle_tests += tris
+        if steps:
+            stats.mode_cycles[mode] = mode_c
+            stats.mode_tests[mode] = mode_t
 
     def run(self, on_complete=None) -> float:
         recorder = self.mem.recorder

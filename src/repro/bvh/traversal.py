@@ -242,8 +242,8 @@ def pop_next_recording(bvh, state: RayTraversalState):
     Returns ``(popped, chain)`` where ``popped`` is ``(item, is_leaf,
     local_idx)`` or ``None`` when the ray retires, and ``chain`` is the
     tuple of treelet ids :meth:`RayTraversalState.advance_treelet` entered
-    during this pop (usually empty).  The SoA plan builder
-    (:mod:`repro.gpusim.soa`) uses the chain to replay the exact treelet
+    during this pop (usually empty).  The state tracer
+    (:func:`repro.gpusim.soa.trace_states`) uses the chain to replay the exact treelet
     entry points later under the treelet-stationary policy units, where the
     same advances happen through explicit ``enter_treelet`` calls.
 
@@ -406,12 +406,15 @@ def intersect_leaves_batch(
 ) -> List[int]:
     """Intersect many (ray, leaf) pairs through one vectorized MT test.
 
-    Closest-hit only (states collecting all hits must take the scalar
-    path).  Returns the per-group triangle test counts; hit updates,
-    tie-breaking and counters match :func:`_intersect_leaf` bit for bit.
-    Small batches take the scalar loop (same results, less overhead).
+    The kernel is closest-hit only, so a batch holding any state that
+    collects all hits takes the scalar loop, as does a small batch (same
+    results, less overhead).  Returns the per-group triangle test counts;
+    hit updates, tie-breaking and counters match :func:`_intersect_leaf`
+    bit for bit.
     """
-    if len(groups) < BATCH_MIN_LEAF_GROUPS:
+    if len(groups) < BATCH_MIN_LEAF_GROUPS or any(
+        state.all_hits is not None for state, _ in groups
+    ):
         counts = []
         for state, leaf in groups:
             state.leaf_visits += 1

@@ -24,7 +24,10 @@ resumed secondary) and flows through the three traversal phases:
 
 The engine is a discrete-event loop: each scheduling round performs one
 unit of work (an arrival's initial phase, one treelet queue, or one
-final-phase warp) and advances the SM-local cycle counter.
+final-phase warp) and advances the SM-local cycle counter.  Like every
+policy unit it replays traced states (:class:`~repro.gpusim.soa.ReplayState`
+cursors flow through the queue tables as ordinary objects) under the
+timing-loop discipline described in :mod:`repro.gpusim.rt_unit`.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from repro.core.treelet_queue import TreeletQueues
 from repro.gpusim.budget import check_cycle_budget
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.memory import MemorySystem
-from repro.gpusim.rt_unit import apply_stall_fault
-from repro.gpusim.stats import SimStats, TraversalMode
-from repro.gpusim.warp import SimRay, TraceWarp, warp_step
+from repro.gpusim.rt_unit import apply_stall_fault, record_step
+from repro.gpusim.stats import SimStats, StatsFold, TraversalMode
+from repro.gpusim.warp import SimRay, TraceWarp, gaussian_leaf_cycles, step_latency
 
 RayCallback = Callable[[SimRay, float], None]
 
@@ -71,6 +74,7 @@ class VTQRTUnit:
         # Optional ActivityTimeline (repro.gpusim.timeline): when set, one
         # span is recorded per scheduling unit for chrome-trace export.
         self.timeline = None
+        self.fold = StatsFold(stats)
 
     # -- submission ------------------------------------------------------------
 
@@ -114,6 +118,7 @@ class VTQRTUnit:
             self.stats.count_table_peak_entries,
             self.queues.count_table.peak_entries,
         )
+        self.fold.flush()
         return self.cycle
 
     # -- phase 1: arrivals -----------------------------------------------------------
@@ -144,45 +149,120 @@ class VTQRTUnit:
         """Ray-stationary traversal of an arriving warp until it diverges."""
         phase_start = self.cycle
         self._rays_in_unit += len(rays)
+        mem = self.mem
+        recorder = mem.recorder
         # Writing the warp's ray records into the reserved L2 region;
         # store traffic only (stores retire through the write queue).
+        if recorder is not None:
+            recorder.ray_write([ray.ray_id for ray in rays])
         for ray in rays:
-            self.mem.ray_data_access(ray.ray_id, self.cycle, write=True)
+            mem.ray_data_access(ray.ray_id, self.cycle, write=True)
 
-        active = [r for r in rays if not r.finished()]
+        active = [r for r in rays if not r.state.done]
         for ray in rays:
-            if ray.finished():  # degenerate: ray submitted already done
+            if ray.state.done:  # pragma: no cover - degenerate arrivals
                 self._complete(ray, cb)
+
+        config = self.config
+        stats = self.stats
+        fold = self.fold
+        mode = TraversalMode.INITIAL_RAY_STATIONARY
+        warp_size = config.warp_size
+        divergence = self.vtq.divergence_threshold
+        position = self._position_treelet
+        mode_c = stats.mode_cycles.get(mode, 0.0)
+        mode_t = stats.mode_tests.get(mode, 0)
+        simt_sum = stats.simt_active_sum
+        simt_steps = 0
+        nodes = 0
+        leaves = 0
+        tris = 0
+        steps = 0
+        gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
+        cycle = self.cycle
         while active:
-            treelets = {self._position_treelet(r) for r in active}
+            treelets = {position(r) for r in active}
             treelets.discard(None)
-            if len(treelets) > self.vtq.divergence_threshold:
+            if len(treelets) > divergence:
                 break
-            latency, stepped, _ = warp_step(
-                self.bvh, active, self.mem, self.config, self.stats,
-                self.cycle, TraversalMode.INITIAL_RAY_STATIONARY,
-            )
-            self.cycle += latency
-            # Sweep finished rays (they can finish for free via culling even
-            # when their step returned no work) before the break decision.
+            lane_lines = []
+            tests = 0
+            step_leaves = 0
+            # ray-stationary pop inlined; no ray has entered a chain yet in the
+            # initial phase, so the ci/_ctre resets are no-ops and drop.
+            for ray in active:
+                st = ray.state
+                p = st.p
+                n = st.n
+                if p >= n:
+                    st.done = True
+                    st.chw = False
+                    continue
+                tr = st.tr
+                p1 = p + 1
+                st.p = p1
+                chw = tr.curwork[p1]
+                st.chw = chw
+                if p1 == n and not chw and not tr.tail:
+                    st.done = True
+                lane_lines.append(tr.lines[p])
+                if tr.isleaf[p]:
+                    leaves += 1
+                    step_leaves += 1
+                    tests += tr.tests[p]
+                else:
+                    nodes += 1
+            if lane_lines:
+                max_latency, missing_lanes, misses = mem.access_lines_batch(
+                    lane_lines, cycle, fold
+                )
+                if recorder is not None:
+                    record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
+                latency = step_latency(
+                    config, len(lane_lines), max_latency, missing_lanes, misses,
+                    gaussian_leaf_cycles(config, tests, step_leaves)
+                    if gaussian else 0.0,
+                )
+                simt_sum += len(lane_lines) / warp_size
+                simt_steps += 1
+                mode_c += latency
+                mode_t += tests
+                tris += tests
+                cycle += latency
+                steps += 1
+            # Sweep finished rays before the break decision; completion
+            # callbacks may move self.cycle, so sync around them.
+            self.cycle = cycle
             still_active = []
             for ray in active:
-                if ray.finished():
+                if ray.state.done:
                     self._complete(ray, cb)
                 else:
                     still_active.append(ray)
+            cycle = self.cycle
             active = still_active
-            if not stepped:
+            if not lane_lines:
                 break
 
         # Terminate the warp: write surviving rays to the treelet queues.
+        self.cycle = cycle
         for ray in active:
-            treelet = self._position_treelet(ray)
-            if treelet is None:  # pragma: no cover - finished rays left above
+            treelet = position(ray)
+            if treelet is None:  # pragma: no cover - finished rays swept above
                 self._complete(ray, cb)
             else:
                 self.queues.push(treelet, ray)
-        self.stats.warps_processed += 1
+        stats.warps_processed += 1
+        stats.simt_active_sum = simt_sum
+        stats.simt_steps += simt_steps
+        stats.node_visits += nodes
+        stats.leaf_visits += leaves
+        stats.triangle_tests += tris
+        if steps:
+            stats.mode_cycles[mode] = mode_c
+            stats.mode_tests[mode] = mode_t
         if self.timeline is not None:
             self.timeline.record(
                 "initial warp", "initial_ray_stationary", phase_start, self.cycle,
@@ -203,20 +283,41 @@ class VTQRTUnit:
     def _process_treelet_queue(self, treelet: int, cb: RayCallback) -> None:
         """Fetch one treelet and drain its whole queue through the L1."""
         phase_start = self.cycle
-        fetch_latency = self.mem.fetch_treelet(
-            self.bvh.treelet_lines[treelet], self.cycle
-        )
-        if self.vtq.preload_enabled:
+        mem = self.mem
+        stats = self.stats
+        config = self.config
+        fold = self.fold
+        mode = TraversalMode.TREELET_STATIONARY
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.tq_fetch(treelet)
+        fetch_latency = mem.fetch_treelet(self.bvh.treelet_lines[treelet], self.cycle)
+        preload = self.vtq.preload_enabled
+        if preload:
             overlap = min(self._preload_credit, fetch_latency)
             fetch_latency -= overlap
         self.cycle += fetch_latency
-        self.stats.record_mode(TraversalMode.TREELET_STATIONARY, fetch_latency)
-
+        # record_mode(TS, fetch_latency) would insert the mode keys
+        # unconditionally; direct defaultdict indexing seeds the locals
+        # with the same insertion before deferred accumulation.
+        mode_c = stats.mode_cycles[mode]
+        mode_t = stats.mode_tests[mode]
+        mode_c += fetch_latency
+        simt_sum = stats.simt_active_sum
+        simt_steps = 0
+        nodes = 0
+        leaves = 0
+        tris = 0
         work_cycles = 0.0
-        warp_size = self.config.warp_size
+        warp_size = config.warp_size
         prev_warp_cycles = 0.0
+        gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
+        batch = mem.access_lines_batch
+        ray_data = mem.ray_data_access
+        pop_warp = self.queues.pop_warp
+        cycle = self.cycle
         while True:
-            rays = self.queues.pop_warp(treelet, warp_size)
+            rays = pop_warp(treelet, warp_size)
             if not rays:
                 break
             # Ray data loads from the reserved L2 region (bypassing L1);
@@ -224,55 +325,119 @@ class VTQRTUnit:
             # "Ray data can also be preloaded similarly") the controller
             # fetches the next warp's records while the current warp
             # steps, hiding the load behind the previous warp's work.
+            if recorder is not None:
+                recorder.ray_load_ts([ray.ray_id for ray in rays])
             load_latency = 0.0
             for ray in rays:
-                load_latency = max(
-                    load_latency, self.mem.ray_data_access(ray.ray_id, self.cycle)
-                )
-            if self.vtq.preload_enabled:
+                lat = ray_data(ray.ray_id, cycle)
+                if lat > load_latency:
+                    load_latency = lat
+            if preload:
                 load_latency = max(0.0, load_latency - prev_warp_cycles)
-            self.cycle += load_latency
+            cycle += load_latency
             work_cycles += load_latency
-            self.stats.record_mode(TraversalMode.TREELET_STATIONARY, load_latency)
+            mode_c += load_latency
             prev_warp_cycles = 0.0
 
             for ray in rays:
-                if not ray.state.has_current_work():
-                    ray.state.enter_treelet(treelet)
+                st = ray.state
+                if not st.chw:
+                    st.enter_treelet(treelet)
 
-            active = [r for r in rays if not r.finished()]
+            active = [r for r in rays if not r.state.done]
             while active:
-                latency, stepped, _ = warp_step(
-                    self.bvh, active, self.mem, self.config, self.stats,
-                    self.cycle, TraversalMode.TREELET_STATIONARY,
-                    in_treelet_only=True,
-                )
-                if not stepped:
+                lane_lines = []
+                tests = 0
+                step_leaves = 0
+                nxt = []
+                # treelet-stationary pop inlined: park (contribute nothing) at an
+                # unentered chain position or the tail, otherwise pop one
+                # visit and stay only while in-treelet work remains.
+                for ray in active:
+                    st = ray.state
+                    p = st.p
+                    tr = st.tr
+                    n = st.n
+                    if p >= n:
+                        st.chw = False
+                        if st.tail_i >= len(tr.tail):
+                            st.done = True
+                        continue
+                    chains = tr.chains
+                    if chains is not None:
+                        chain = chains.get(p)
+                        if chain is not None and st.ci < len(chain):
+                            st.chw = False
+                            continue
+                    st.ci = 0
+                    st._ctre = None
+                    p1 = p + 1
+                    st.p = p1
+                    chw = tr.curwork[p1]
+                    st.chw = chw
+                    done = p1 == n and not chw and not tr.tail
+                    if done:
+                        st.done = True
+                    lane_lines.append(tr.lines[p])
+                    if tr.isleaf[p]:
+                        leaves += 1
+                        step_leaves += 1
+                        tests += tr.tests[p]
+                    else:
+                        nodes += 1
+                    if chw and not done:
+                        nxt.append(ray)
+                if not lane_lines:
                     break
-                self.cycle += latency
+                max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
+                if recorder is not None:
+                    record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
+                latency = step_latency(
+                    config, len(lane_lines), max_latency, missing_lanes, misses,
+                    gaussian_leaf_cycles(config, tests, step_leaves)
+                    if gaussian else 0.0,
+                )
+                simt_sum += len(lane_lines) / warp_size
+                simt_steps += 1
+                mode_c += latency
+                mode_t += tests
+                tris += tests
+                cycle += latency
                 work_cycles += latency
                 prev_warp_cycles += latency
-                active = [
-                    r for r in active
-                    if not r.finished() and r.state.has_current_work()
-                ]
+                active = nxt
 
             # Park or retire every ray of this treelet warp.
+            self.cycle = cycle
             for ray in rays:
-                if ray.finished():
+                st = ray.state
+                if st.done:
                     self._complete(ray, cb)
                     continue
-                nxt = ray.state.next_treelet()
-                if nxt is None:
+                nxt_treelet = st.next_treelet()
+                if nxt_treelet is None:
                     self._complete(ray, cb)
                 else:
-                    self.queues.push(nxt, ray)
-            self.stats.warps_processed += 1
+                    self.queues.push(nxt_treelet, ray)
+            cycle = self.cycle
+            stats.warps_processed += 1
 
+        self.cycle = cycle
+        if recorder is not None:
+            recorder.tq_end()
         # Section 4.3: the controller preloads the next treelet while this
         # one is processed, hiding up to this queue's processing time of
         # the next fetch.
-        self._preload_credit = work_cycles if self.vtq.preload_enabled else 0.0
+        self._preload_credit = work_cycles if preload else 0.0
+        stats.mode_cycles[mode] = mode_c
+        stats.mode_tests[mode] = mode_t
+        stats.simt_active_sum = simt_sum
+        stats.simt_steps += simt_steps
+        stats.node_visits += nodes
+        stats.leaf_visits += leaves
+        stats.triangle_tests += tris
         if self.timeline is not None:
             self.timeline.record(
                 f"treelet {treelet}", "treelet_stationary", phase_start, self.cycle,
@@ -303,62 +468,130 @@ class VTQRTUnit:
     def _process_final_warp(self, rays: List[SimRay], cb: RayCallback) -> None:
         """Ray-stationary traversal of grouped rays, with warp repacking."""
         phase_start = self.cycle
+        mem = self.mem
+        stats = self.stats
+        config = self.config
+        fold = self.fold
+        mode = TraversalMode.FINAL_RAY_STATIONARY
+        recorder = mem.recorder
+        if recorder is not None:
+            recorder.ray_load_final([ray.ray_id for ray in rays])
         load_latency = 0.0
         for ray in rays:
-            load_latency = max(
-                load_latency, self.mem.ray_data_access(ray.ray_id, self.cycle)
-            )
+            lat = mem.ray_data_access(ray.ray_id, self.cycle)
+            if lat > load_latency:
+                load_latency = lat
         self.cycle += load_latency
-        self.stats.record_mode(TraversalMode.FINAL_RAY_STATIONARY, load_latency)
+        mode_c = stats.mode_cycles[mode]
+        mode_t = stats.mode_tests[mode]
+        mode_c += load_latency
+        simt_sum = stats.simt_active_sum
+        simt_steps = 0
+        nodes = 0
+        leaves = 0
+        tris = 0
+        warp_size = config.warp_size
+        repack_enabled = self.vtq.repack_enabled
+        repack_threshold = self.vtq.repack_threshold
+        gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
+        cycle = self.cycle
 
-        active = [r for r in rays if not r.finished()]
+        active = [r for r in rays if not r.state.done]
         for ray in rays:
-            if ray.finished():  # pragma: no cover - defensive
+            if ray.state.done:  # pragma: no cover - defensive
                 self._complete(ray, cb)
         while active:
-            latency, stepped, _ = warp_step(
-                self.bvh, active, self.mem, self.config, self.stats,
-                self.cycle, TraversalMode.FINAL_RAY_STATIONARY,
-            )
-            self.cycle += latency
-            # Rays can finish *inside* a step for free when their remaining
-            # stack entries are all culled — including rays whose step
-            # returned no work (absent from `stepped`).  Sweep finished
-            # rays before deciding whether the warp is done.
+            lane_lines = []
+            tests = 0
+            step_leaves = 0
+            # ray-stationary pop inlined; final-phase rays have entered chains, so
+            # the ci/_ctre resets must stay.
+            for ray in active:
+                st = ray.state
+                p = st.p
+                n = st.n
+                if p >= n:
+                    st.done = True
+                    st.chw = False
+                    continue
+                st.ci = 0
+                st._ctre = None
+                tr = st.tr
+                p1 = p + 1
+                st.p = p1
+                chw = tr.curwork[p1]
+                st.chw = chw
+                if p1 == n and not chw and not tr.tail:
+                    st.done = True
+                lane_lines.append(tr.lines[p])
+                if tr.isleaf[p]:
+                    leaves += 1
+                    step_leaves += 1
+                    tests += tr.tests[p]
+                else:
+                    nodes += 1
+            if lane_lines:
+                max_latency, missing_lanes, misses = mem.access_lines_batch(
+                    lane_lines, cycle, fold
+                )
+                if recorder is not None:
+                    record_step(
+                        recorder, mode, lane_lines, tests, step_leaves, gaussian
+                    )
+                latency = step_latency(
+                    config, len(lane_lines), max_latency, missing_lanes, misses,
+                    gaussian_leaf_cycles(config, tests, step_leaves)
+                    if gaussian else 0.0,
+                )
+                simt_sum += len(lane_lines) / warp_size
+                simt_steps += 1
+                mode_c += latency
+                mode_t += tests
+                tris += tests
+                cycle += latency
+            self.cycle = cycle
             still_active = []
             for ray in active:
-                if ray.finished():
+                if ray.state.done:
                     self._complete(ray, cb)
                 else:
                     still_active.append(ray)
+            cycle = self.cycle
             active = still_active
-            if not stepped:
+            if not lane_lines:
                 break
 
-            if (
-                self.vtq.repack_enabled
-                and active
-                and len(active) < self.vtq.repack_threshold
-            ):
-                refill = self.queues.pop_any(self.config.warp_size - len(active))
+            # Warp repacking (Section 4.5): refill a thinning warp with
+            # fresh rays from the queues.
+            if repack_enabled and active and len(active) < repack_threshold:
+                refill = self.queues.pop_any(warp_size - len(active))
                 if refill:
+                    if recorder is not None:
+                        recorder.ray_load_refill([ray.ray_id for ray in refill])
                     refill_latency = 0.0
                     for ray in refill:
-                        refill_latency = max(
-                            refill_latency,
-                            self.mem.ray_data_access(ray.ray_id, self.cycle),
-                        )
-                    self.cycle += refill_latency
-                    self.stats.record_mode(
-                        TraversalMode.FINAL_RAY_STATIONARY, refill_latency
-                    )
-                    self.stats.warp_repacks += 1
+                        lat = mem.ray_data_access(ray.ray_id, cycle)
+                        if lat > refill_latency:
+                            refill_latency = lat
+                    cycle += refill_latency
+                    mode_c += refill_latency
+                    stats.warp_repacks += 1
+                    self.cycle = cycle
                     for ray in refill:
-                        if ray.finished():  # pragma: no cover - defensive
+                        if ray.state.done:  # pragma: no cover - defensive
                             self._complete(ray, cb)
                         else:
                             active.append(ray)
-        self.stats.warps_processed += 1
+                    cycle = self.cycle
+        self.cycle = cycle
+        stats.warps_processed += 1
+        stats.mode_cycles[mode] = mode_c
+        stats.mode_tests[mode] = mode_t
+        stats.simt_active_sum = simt_sum
+        stats.simt_steps += simt_steps
+        stats.node_visits += nodes
+        stats.leaf_visits += leaves
+        stats.triangle_tests += tris
         if self.timeline is not None:
             self.timeline.record(
                 "final warp", "final_ray_stationary", phase_start, self.cycle,

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 # Must match repro.bvh.traversal._INV_CLAMP / _DET_EPS exactly: the
-# SoA plan builder (batch kernels) and the scalar engines must agree.
+# state tracer (batch kernels) and the scalar single_step must agree.
 INV_CLAMP = 1e30
 DET_EPS = 1e-12
 

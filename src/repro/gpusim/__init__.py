@@ -17,13 +17,12 @@ Modules:
 * :mod:`repro.gpusim.energy` — per-event energy accounting (AccelWattch
   stand-in).
 * :mod:`repro.gpusim.warp` — warps, trace jobs and SIMT bookkeeping.
-* :mod:`repro.gpusim.rt_unit` — the baseline ray-stationary RT unit
-  (scalar: driven by the Vulkan-style pipeline and ray queries).
+* :mod:`repro.gpusim.rt_unit` — the baseline ray-stationary RT unit.
 * :mod:`repro.gpusim.stats` — counters and timelines shared by all models.
-* :mod:`repro.gpusim.soa` / :mod:`repro.gpusim.soa_engines` — the
-  struct-of-arrays warp engine every render runs: precomputed render
-  plans replayed through pure timing loops, bit-identical to the scalar
-  units (checked against the test suite's scalar reference renderer).
+* :mod:`repro.gpusim.soa` — the functional half of every run: traversal
+  states traced once (:func:`~repro.gpusim.soa.trace_states`) and render
+  plans, which the policy units replay through pure timing loops,
+  bit-identical to the test suite's independent scalar reference.
 """
 
 from repro.gpusim.config import GPUConfig, ScaledSetup, paper_config, scaled_config
@@ -31,7 +30,7 @@ from repro.gpusim.cache import Cache
 from repro.gpusim.memory import AccessKind, MemorySystem
 from repro.gpusim.energy import EnergyModel, ENERGY_COSTS
 from repro.gpusim.stats import SimStats, TraversalMode
-from repro.gpusim.warp import SimRay, TraceWarp, warp_step
+from repro.gpusim.warp import SimRay, TraceWarp
 from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.dram import DRAMModel
 from repro.gpusim.timeline import ActivityTimeline, write_chrome_trace
@@ -50,7 +49,6 @@ __all__ = [
     "TraversalMode",
     "SimRay",
     "TraceWarp",
-    "warp_step",
     "BaselineRTUnit",
     "DRAMModel",
     "ActivityTimeline",

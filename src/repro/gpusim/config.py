@@ -46,7 +46,7 @@ class GPUConfig:
     intersection_latency: int = 4  # fixed-function box/tri test per step
     # Optional extra contention: each distinct L1 miss beyond the first in
     # a warp step adds this many cycles on top of the fractional-stall
-    # cost (see warp_step).  Zero by default — the fractional-stall model
+    # cost (see step_latency).  Zero by default — the fractional-stall model
     # already charges partially-missing steps; this knob exists for
     # bandwidth-pressure sensitivity studies.
     miss_serialization_cycles: int = 0

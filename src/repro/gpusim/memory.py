@@ -125,7 +125,7 @@ class MemorySystem:
         return latency, misses
 
     def access_lines_batch(self, lane_lines, cycle: float, fold) -> Tuple[float, int, int]:
-        """Batched BVH access path for the SoA replay engines.
+        """Batched BVH access path for the policy units.
 
         ``lane_lines`` is one line tuple per stepped lane (in lane order);
         ``fold`` is a :class:`repro.gpusim.stats.StatsFold` that absorbs
@@ -140,7 +140,7 @@ class MemorySystem:
         later lanes) and DRAM model calls.  Only the statistics writes are
         deferred — all integer counters, folded with presence-exact
         guards, so ``SimStats.snapshot()`` is bit-identical to the scalar
-        path.  A trace recorder needs no hook here: the replay engines
+        path.  A trace recorder needs no hook here: the policy units
         emit each step's ``lane_lines`` to it themselves.
         """
         config = self.config

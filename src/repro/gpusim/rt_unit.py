@@ -12,6 +12,43 @@ the scheduler is greedy-then-oldest (GTO): among ready warps it keeps the
 lowest submission sequence number.  Completion callbacks may submit more
 warps (secondary bounces), which is how the path tracer drives multi-bounce
 workloads through the unit.
+
+Like every policy unit it is a pure timing loop.  Rays carry
+:class:`~repro.gpusim.soa.ReplayState` cursors over traces that
+:func:`~repro.gpusim.soa.trace_states` recorded, so the unit only
+consumes each lane's next visit, prices all lanes' cache lines through
+one :meth:`MemorySystem.access_lines_batch` call and charges the warp
+:func:`~repro.gpusim.warp.step_latency`.
+
+The bit-exactness discipline of the timing loops here, in
+:mod:`repro.baselines.prefetch` and in :mod:`repro.core.rt_unit_vtq`
+(the independent scalar reference in ``tests/scalar_reference.py``
+holds them to it):
+
+* every cache mutation, miss-hook firing and DRAM model call happens in
+  the per-lane order of a live warp step (``access_lines_batch`` inlines
+  the per-line sequence; ray-data and treelet-fetch accesses stay live);
+* integer counters are deferred into plain locals or the unit's
+  :class:`~repro.gpusim.stats.StatsFold` and committed with
+  presence-exact guards at phase boundaries;
+* float accumulators (``cycle``, ``simt_active_sum``,
+  ``mode_cycles[...]``) are threaded through *ordered* locals — seeded
+  from the current value, accumulated in step order, written back at
+  phase end — because float addition is not associative.  The vtq
+  completion callbacks mutate ``unit.cycle`` (CTA save/restore
+  bandwidth), so the local cycle is synced to ``self.cycle`` around
+  every ``_complete`` sweep;
+* phase boundaries (where folds are committed) are exactly where stats
+  can be observed mid-run: the cycle-budget check at the top of the run
+  loop, and the end of the run.
+
+A memory-trace recorder (``mem.recorder``, :mod:`repro.memtrace`) is fed
+from the same loops: per-warp ``begin_warp``/``step``/``end_warp``, the
+prefetcher's ``pf_refresh``/``pf_note`` and the VTQ phases' ray-data and
+treelet-fetch ops, each emitted just before the memory calls it
+describes (``step`` after its lanes are priced); warp submissions and
+VTQ idle jumps are emitted by the schedulers, CTA save/restore by the
+render driver.
 """
 
 from __future__ import annotations
@@ -23,8 +60,8 @@ from repro import faults
 from repro.gpusim.budget import check_cycle_budget
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.memory import MemorySystem
-from repro.gpusim.stats import SimStats, TraversalMode
-from repro.gpusim.warp import TraceWarp, warp_step
+from repro.gpusim.stats import SimStats, StatsFold, TraversalMode
+from repro.gpusim.warp import TraceWarp, gaussian_leaf_cycles, step_latency
 
 CompletionCallback = Callable[[TraceWarp, float], None]
 
@@ -32,13 +69,25 @@ CompletionCallback = Callable[[TraceWarp, float], None]
 def apply_stall_fault(engine) -> None:
     """Charge the SIM_STALL chaos fault, if armed for this engine class.
 
-    Fault specs match on the engine's class name; the SoA replay engines
-    subclass the scalar units with names that contain the parent's, so
-    specs written against either keep firing.
+    Fault specs match on the engine's class name (``BaselineRTUnit``,
+    ``PrefetchRTUnit``, ``VTQRTUnit``); subclasses whose names contain
+    the parent's keep firing for specs written against the parent.
     """
     spec = faults.should_fire(faults.SIM_STALL, type(engine).__name__)
     if spec is not None:
         engine.cycle += float(spec.payload.get("extra_cycles", 1e12))
+
+
+def record_step(recorder, mode, lane_lines, tests, leaf_lanes, gaussian) -> None:
+    """Emit one warp step to a memory-trace recorder.
+
+    Leaf-cost operands are recorded only on gaussian workloads, so
+    triangle traces stay byte-identical to the trace format's v1 shape.
+    """
+    if gaussian:
+        recorder.step(mode, lane_lines, tests=tests, leaf_lanes=leaf_lanes)
+    else:
+        recorder.step(mode, lane_lines)
 
 
 class BaselineRTUnit:
@@ -66,6 +115,7 @@ class BaselineRTUnit:
         self._mode = mode
         # Optional ActivityTimeline (repro.gpusim.timeline).
         self.timeline = None
+        self.fold = StatsFold(stats)
 
     # -- submission ---------------------------------------------------------------
 
@@ -87,22 +137,96 @@ class BaselineRTUnit:
     def process_warp(self, warp: TraceWarp) -> None:
         """Traverse every ray of ``warp`` to completion (warp buffer = 1)."""
         start = self.cycle
-        active = warp.active_rays()
-        launched = len(active)
-        while active:
-            latency, stepped, _ = warp_step(
-                self.bvh, active, self.mem, self.config, self.stats,
-                self.cycle, self._mode,
+        config = self.config
+        stats = self.stats
+        batch = self.mem.access_lines_batch
+        recorder = self.mem.recorder
+        if recorder is not None:
+            recorder.begin_warp(warp)
+        fold = self.fold
+        mode = self._mode
+        warp_size = config.warp_size
+        cycle = self.cycle
+        mode_c = stats.mode_cycles.get(mode, 0.0)
+        mode_t = stats.mode_tests.get(mode, 0)
+        simt_sum = stats.simt_active_sum
+        simt_steps = 0
+        nodes = 0
+        leaves = 0
+        tris = 0
+        steps = 0
+        completed = 0
+        # Nothing observes ray state mid-warp in the baseline unit, and
+        # the ray-stationary replay is fully deterministic: ray i's visit
+        # at warp-step s is trace position start+s.  So the per-step
+        # pop collapses to a step counter, and each ReplayState is
+        # written exactly once — at retirement (p=n, no chain work, done;
+        # the transient chain-work-at-end state the live pop passes
+        # through is erased by its very next pop, which no one sees).
+        gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
+        live = []
+        for ray in warp.rays:
+            st = ray.state
+            if st.done:
+                continue
+            n = st.n
+            if st.p >= n:
+                st.done = True
+                st.chw = False
+                completed += 1
+                continue
+            tr = st.tr
+            live.append((st, tr.lines, tr.isleaf, tr.tests, st.p, n))
+        while live:
+            lane_lines = []
+            tests = 0
+            step_leaves = 0
+            nxt = []
+            for entry in live:
+                st, lines_l, isleaf_l, tests_l, p0, n = entry
+                p = p0 + steps
+                lane_lines.append(lines_l[p])
+                if isleaf_l[p]:
+                    leaves += 1
+                    step_leaves += 1
+                    tests += tests_l[p]
+                else:
+                    nodes += 1
+                if p + 1 < n:
+                    nxt.append(entry)
+                else:
+                    st.p = n
+                    st.chw = False
+                    st.done = True
+                    completed += 1
+            max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
+            if recorder is not None:
+                record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
+            latency = step_latency(
+                config, len(lane_lines), max_latency, missing_lanes, misses,
+                gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
             )
-            if not stepped:
-                break
-            self.cycle += latency
-            active = [r for r in active if not r.finished()]
-        # Rays can finish inside a step (all remaining stack entries culled)
-        # and be excluded from ``stepped``; refilter before counting.
-        active = [r for r in active if not r.finished()]
-        self.stats.rays_completed += launched - len(active)
-        self.stats.warps_processed += 1
+            simt_sum += len(lane_lines) / warp_size
+            simt_steps += 1
+            mode_c += latency
+            mode_t += tests
+            tris += tests
+            cycle += latency
+            steps += 1
+            live = nxt
+        self.cycle = cycle
+        if recorder is not None:
+            recorder.end_warp(cycle)
+        stats.rays_completed += completed
+        stats.warps_processed += 1
+        stats.simt_active_sum = simt_sum
+        stats.simt_steps += simt_steps
+        stats.node_visits += nodes
+        stats.leaf_visits += leaves
+        stats.triangle_tests += tris
+        if steps:
+            stats.mode_cycles[mode] = mode_c
+            stats.mode_tests[mode] = mode_t
         if self.timeline is not None:
             self.timeline.record(
                 "warp", "ray_stationary", start, self.cycle,
@@ -126,4 +250,5 @@ class BaselineRTUnit:
             if on_complete is not None:
                 on_complete(warp, self.cycle)
         self.stats.total_cycles = max(self.stats.total_cycles, self.cycle)
+        self.fold.flush()
         return self.cycle

@@ -1,6 +1,6 @@
-"""Struct-of-arrays render plans: the functional half of the SoA engine.
+"""Traced states and render plans: the functional half of the engine.
 
-The scalar policy units interleave two very different jobs per warp step:
+Every policy unit splits into two very different jobs per warp step:
 
 * the *functional* work — pop a stack entry, slab-test children,
   Moller-Trumbore triangles, update closest hits, shade; and
@@ -14,20 +14,24 @@ BVH items in the same per-ray order (treelet-stationary scheduling
 changes *when* a ray's visits happen, never *which* or in what per-ray
 sequence).
 
-This module exploits that split.  :func:`build_plan` runs the functional
-work **once per scene**, for *all* rays of a bounce at a time — a
-bounce-synchronous wave loop that pops every live ray, then expands all
-popped nodes in one :func:`expand_nodes_batch` call and intersects all
-popped leaves in one :func:`intersect_leaves_batch` call (group sizes in
-the hundreds, where the numpy kernels finally pay off).  The result is a
-:class:`RenderPlan` of per-ray :class:`Trace` records: the visit
-sequence (cache lines, node/leaf kind, triangle-test counts) plus just
-enough stack/treelet position metadata for the replay engines
-(:mod:`repro.gpusim.soa_engines`) to reconstruct every scheduling
-decision the scalar policy units make.  Replays are pure timing loops —
-no geometry, no shading, no numpy — and one plan serves every policy ×
-cache-config combination for the scene, which is where the end-to-end
-speedup comes from.
+This module runs the functional work up front.  :func:`trace_states`
+runs a batch of traversal states to completion in lock-step waves: it
+pops every live ray, then expands all popped nodes in one
+:func:`expand_nodes_batch` call and intersects all popped leaves in one
+:func:`intersect_leaves_batch` call.  Each state yields a :class:`Trace`:
+the visit sequence (cache lines, node/leaf kind, triangle-test counts)
+plus just enough stack/treelet position metadata for the policy units
+to make every scheduling decision through a :class:`ReplayState` cursor.
+The units themselves (``BaselineRTUnit``, ``PrefetchRTUnit``,
+``VTQRTUnit``) are pure timing loops over those cursors: no geometry, no
+shading, no numpy.
+
+Three drivers feed them.  :func:`build_plan` traces every bounce of a
+render into a :class:`RenderPlan`, one per scene, which every policy x
+cache-config combination replays; :func:`repro.rtquery.time_queries`
+traces a flat query batch in one call; and
+:class:`repro.vkrt.RayTracingPipeline` traces each warp's states as the
+warp is submitted.
 
 Each secondary ray's trace also carries its Garanzha-Loop sort key, so
 the ``sorted`` policy re-forms its bounce-barrier warps from the plan
@@ -35,10 +39,7 @@ instead of from live ray geometry.
 
 Plans are cached on the ``SceneBVH`` object itself (a small FIFO keyed
 by render parameters, ``REPRO_SOA_PLAN_CACHE`` entries), so sweeps that
-run several policies over one scene build the plan once.  Plan replay is
-the only way :func:`repro.tracing.render.render_scene` runs; the scalar
-policy units remain for the Vulkan-style pipeline, ray queries and the
-test suite's independent reference renderer.
+run several policies over one scene build the plan once.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from repro.bvh.traversal import (
 )
 from repro.geometry.morton import ray_sort_keys
 
+
 class Trace:
     """One ray's complete traversal record for one bounce.
 
@@ -64,7 +66,7 @@ class Trace:
 
     ``lines``
         The item's cache-line tuple (``bvh.item_lines[item]``) — what the
-        replay engines price.
+        policy units price.
     ``isleaf`` / ``tests``
         Leaf flag and triangle-test count (0 for nodes).
 
@@ -117,6 +119,105 @@ class Trace:
         self.sort_key = 0
 
 
+class ReplayState:
+    """A ray's traversal state reconstructed from a :class:`Trace`.
+
+    Duck-types the slice of ``RayTraversalState`` the policy units read
+    — ``finished() / has_current_work() / current_treelet /
+    next_treelet() / enter_treelet() / current_stack``.  The units
+    advance it with two pops, inlined in their hot loops:
+
+    * the *ray-stationary* pop consumes visit ``p`` (``p += 1``,
+      ``chw = tr.curwork[p]``), crossing treelet boundaries silently as
+      ``pop_next``'s advance loop does; at ``p == n`` the ray retires;
+    * the *treelet-stationary* pop consumes the same way but parks —
+      consumes nothing and clears ``chw`` — at every boundary the live
+      in-treelet pop would fail at: an unentered chain position, or the
+      tail, where the ray retires once the tail is exhausted.
+
+    Both reset the chain cursor (``ci = 0``, ``_ctre = None``) and mark
+    the ray done once its last visit is consumed with no current work
+    and no tail.
+
+    Invariants mirrored from the live state machine:
+
+    * ``p`` is the next visit to consume; position metadata for the
+      *current* park point is ``tr.*[p]``.
+    * A chain at ``p`` means the live pop crossed ``chains[p][ci:]``
+      treelet boundaries before reaching visit ``p``; ray-stationary
+      pops cross silently, treelet-stationary pops park at each boundary
+      until ``enter_treelet`` has walked the whole chain.
+    * Past the last visit (``p == n``) the ray drains ``tr.tail`` — the
+      treelets the live retiring pop advanced through — one
+      ``enter_treelet`` per treelet-phase requeue, and finishes when the
+      tail is exhausted.
+    """
+
+    __slots__ = ("tr", "p", "n", "ci", "chw", "tail_i", "done", "_ctre")
+
+    def __init__(self, tr):
+        self.tr = tr
+        self.p = 0
+        self.n = len(tr.isleaf)
+        self.ci = 0
+        self.chw = tr.curwork[0]
+        self.tail_i = 0
+        self.done = False
+        self._ctre: Optional[int] = None
+
+    # -- the RayTraversalState surface the policy units read ----------------------
+
+    def finished(self) -> bool:
+        return self.done
+
+    def has_current_work(self) -> bool:
+        return self.chw
+
+    @property
+    def current_treelet(self) -> int:
+        ctre = self._ctre
+        if ctre is not None:
+            return ctre
+        return self.tr.cur_tre[self.p]
+
+    @property
+    def current_stack(self):
+        """Just enough stack for the prefetcher's access observer
+        (truthiness + top item).  Only read between ray-stationary steps,
+        where the ray is never mid-chain, so the recorded top item is the
+        live stack top."""
+        if not self.chw:
+            return ()
+        return ((self.tr.top_item[self.p],),)
+
+    def next_treelet(self) -> Optional[int]:
+        tr = self.tr
+        p = self.p
+        if p >= self.n:
+            tail = tr.tail
+            ti = self.tail_i
+            return tail[ti] if ti < len(tail) else None
+        chains = tr.chains
+        if chains is not None:
+            chain = chains.get(p)
+            if chain is not None and self.ci < len(chain):
+                return chain[self.ci]
+        t = tr.next_tre[p]
+        return None if t < 0 else t
+
+    def enter_treelet(self, treelet: int) -> int:
+        """Units only call this with ``next_treelet()``'s value, so the
+        effect is fully determined: advance one chain/tail position and
+        expose the entered treelet's work."""
+        if self.p >= self.n:
+            self.tail_i += 1
+        else:
+            self.ci += 1
+        self.chw = True
+        self._ctre = treelet
+        return 1
+
+
 class RenderPlan:
     """Everything policy-independent about one render.
 
@@ -125,8 +226,8 @@ class RenderPlan:
     survived shading).  ``radiance`` is the per-slot ``(num_slots, 3)``
     accumulated radiance — produced by the real shading engine during
     plan construction, so images reconstructed from it are bit-identical
-    to the scalar path.  Slots are sample-major: ``slot = sample *
-    pixels + pixel``.
+    to a live warp-at-a-time path tracer's.  Slots are sample-major:
+    ``slot = sample * pixels + pixel``.
     """
 
     __slots__ = ("traces", "radiance", "pixels", "spp", "num_slots")
@@ -141,7 +242,7 @@ class RenderPlan:
     def image_accum(self) -> np.ndarray:
         """Per-pixel radiance sums, accumulated in slot order.
 
-        Matches the scalar path's ``accum[path.pixel] += path.radiance``
+        Matches a live path tracer's ``accum[path.pixel] += path.radiance``
         loop bit for bit: sample-major slots mean each pixel receives its
         samples' radiance in sample order, and the vectorized per-sample
         adds below perform the same per-element float additions in the
@@ -155,20 +256,25 @@ class RenderPlan:
         return accum
 
 
-def _build_traces(bvh, entries) -> None:
-    """Run every state in ``entries`` to completion, recording traces.
+def trace_states(bvh, states) -> List[Trace]:
+    """Run every traversal state in ``states`` to completion, recording
+    one :class:`Trace` per state (same order).
 
-    ``entries`` is a list of ``(trace, state)`` pairs, all at the same
-    bounce.  All states advance in lock-step waves: one instrumented pop
-    per live ray, then a single batched node-expansion and a single
-    batched leaf-intersection over the whole wave (hundreds of groups —
-    far past the kernels' scalar-fallback cutoffs).  Per-ray visit order
-    is exactly :func:`repro.bvh.traversal.pop_next`'s (the instrumented
-    pop mirrors it), so the recorded sequence is the scalar engines'.
+    All states advance in lock-step waves: one instrumented pop per live
+    ray, then a single batched node-expansion and a single batched
+    leaf-intersection over the whole wave (hundreds of groups in a
+    render — far past the kernels' scalar-fallback cutoffs).  Per-ray
+    visit order is exactly :func:`repro.bvh.traversal.pop_next`'s (the
+    instrumented pop mirrors it), and a traversal's result does not
+    depend on timing, so the finished states hold the functional
+    results every policy reports.  States must use the treelet (or
+    depth-first) order and start unfinished, as ``init_traversal``
+    leaves them.
     """
     item_lines = bvh.item_lines
     leaf_tris = bvh.leaf_tris
-    live = entries
+    traces = [Trace() for _ in states]
+    live = list(zip(traces, states))
     while live:
         node_groups = []
         leaf_groups = []
@@ -176,7 +282,7 @@ def _build_traces(bvh, entries) -> None:
         for rec in live:
             trace, state = rec
             # Position metadata is captured before the pop so position p
-            # describes the stacks as the policy engines observe them
+            # describes the stacks as the policy units observe them
             # between visits (park/queue/vote decisions all happen there).
             current_stack = state.current_stack
             treelet_stack = state.treelet_stack
@@ -208,6 +314,7 @@ def _build_traces(bvh, entries) -> None:
         if leaf_groups:
             intersect_leaves_batch(bvh, leaf_groups)
         live = next_live
+    return traces
 
 
 def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
@@ -215,7 +322,7 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
 
     Drives real ``PathState`` / ``RayTraversalState`` objects through the
     real :class:`~repro.tracing.path_tracer.ShadingEngine`, so hit
-    points, bounce decisions and radiance are the scalar path's exact
+    points, bounce decisions and radiance are a live path tracer's exact
     floats — only the *schedule* of the functional work differs (waves
     over all rays instead of warp-at-a-time).
     """
@@ -247,7 +354,7 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
     bounds = scene.mesh.bounds()
     bounce = 0
     while generation:
-        entries = [(Trace(), state) for _slot, state in generation]
+        bounce_traces = trace_states(bvh, [state for _slot, state in generation])
         if bounce:
             # Sort keys are elementwise in each ray's origin/direction, so
             # one call over the whole generation gives every SM's rays the
@@ -257,11 +364,10 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
                 np.array([[s.dx, s.dy, s.dz] for _slot, s in generation]),
                 bounds.lo, bounds.hi,
             ).tolist()
-            for (trace, _state), key in zip(entries, keys):
+            for trace, key in zip(bounce_traces, keys):
                 trace.sort_key = key
-        _build_traces(bvh, entries)
         next_generation = []
-        for (slot, state), (trace, _state) in zip(generation, entries):
+        for (slot, state), trace in zip(generation, bounce_traces):
             traces[(slot, bounce)] = trace
             if shading.shade(paths[slot], state):
                 next_generation.append((slot, shading.begin_traversal(paths[slot])))

@@ -279,15 +279,14 @@ class SimStats:
 class StatsFold:
     """Deferred accumulator for the batched BVH memory path.
 
-    The SoA replay engines (:mod:`repro.gpusim.soa_engines`) price
-    thousands of cache lines per phase; paying a defaultdict lookup per
-    line for counters nobody reads mid-phase is most of the scalar
-    engine's overhead.  This fold batches them in plain ints and commits
-    into a :class:`SimStats` with ``flush()``.
+    The policy units price thousands of cache lines per phase; paying a
+    defaultdict lookup per line for counters nobody reads mid-phase
+    would be most of their overhead.  This fold batches them in plain
+    ints and commits into a :class:`SimStats` with ``flush()``.
 
     The commit is *presence-exact*: every write is guarded by ``if
-    delta``, so a counter key exists in the stats dicts iff the scalar
-    engine would have inserted it, and ``snapshot()`` (which sorts keys)
+    delta``, so a counter key exists in the stats dicts iff per-line
+    :meth:`MemorySystem.access` calls would have inserted it, and ``snapshot()`` (which sorts keys)
     compares bit-identical.  All folded quantities are integers, so the
     deferred addition is order-independent; float accumulators
     (``simt_active_sum``, ``mode_cycles``) are *not* folded here — the

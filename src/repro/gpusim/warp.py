@@ -1,30 +1,24 @@
-"""Warps, trace jobs and the warp-step primitive.
+"""Warps, trace jobs and the warp-step cost model.
 
-A :class:`SimRay` is one path-tracing ray in flight: its traversal state
-plus identity (pixel, CTA, bounce).  A :class:`TraceWarp` is up to
-``warp_size`` rays issued together by ``traceRayEXT()``.
+A :class:`SimRay` is one ray in flight: its traversal state (a
+:class:`~repro.gpusim.soa.ReplayState` cursor over a traced state in
+every policy unit) plus identity (pixel, CTA, bounce).  A
+:class:`TraceWarp` is up to ``warp_size`` rays issued together by
+``traceRayEXT()``.
 
-:func:`warp_step` is the timing primitive of the scalar RT-unit models
-(which the Vulkan-style pipeline and ray queries drive): advance all
-unfinished rays of a warp by one BVH item visit, charge the slowest
-ray's memory latency plus the fixed-function intersection latency, and
-record SIMT efficiency.  Renders replay plans through
-:mod:`repro.gpusim.soa_engines` instead, sharing :func:`step_latency`.
-
-Each lane advances through one :func:`repro.bvh.traversal.single_step`
-call; the batched kernels in :mod:`repro.geometry.batch` serve the SoA
-render-plan builder (:mod:`repro.gpusim.soa`), not this loop.
+:func:`step_latency` prices one warp step — every unfinished lane
+advances by one BVH item visit; the step costs the slowest lane's memory
+latency, weighted by the fraction of lanes that missed, plus the
+fixed-function intersection latency — and :func:`gaussian_leaf_cycles`
+adds the splat workloads' leaf cost.  The policy units share both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from repro.bvh.traversal import RayTraversalState, single_step
 from repro.gpusim.config import GPUConfig
-from repro.gpusim.memory import AccessKind, MemorySystem
-from repro.gpusim.stats import SimStats, TraversalMode
 
 
 class SimRay:
@@ -38,7 +32,7 @@ class SimRay:
         pixel: int,
         cta_id: int,
         bounce: int,
-        state: RayTraversalState,
+        state,
     ):
         self.ray_id = ray_id
         self.pixel = pixel
@@ -72,67 +66,6 @@ class TraceWarp:
         return len(self.rays)
 
 
-def warp_step(
-    bvh,
-    rays: List[SimRay],
-    mem: MemorySystem,
-    config: GPUConfig,
-    stats: SimStats,
-    cycle: float,
-    mode: TraversalMode,
-    in_treelet_only: bool = False,
-) -> Tuple[float, List[SimRay], int]:
-    """Advance every unfinished ray of ``rays`` by one item visit.
-
-    Returns ``(latency, stepped, tests)``: the step's latency in cycles,
-    the rays that actually advanced, and the triangle tests performed.
-    Rays whose step returns ``None`` (finished, or parked at a treelet
-    boundary when ``in_treelet_only``) are left untouched and excluded
-    from ``stepped``.
-
-    Memory accesses of the lanes overlap: the step waits for the slowest
-    lane (memory divergence), exactly the RT-unit behaviour the paper's
-    SIMT-efficiency argument relies on.
-    """
-    max_latency = 0.0
-    missing_lanes = 0
-    misses = 0
-    stepped: List[SimRay] = []
-    tests = 0
-    step_leaves = 0
-    gaussian = getattr(bvh, "prim_kind", "triangle") == "gaussian"
-    item_lines = bvh.item_lines
-    for ray in rays:
-        result = single_step(bvh, ray.state, in_treelet_only=in_treelet_only)
-        if result is None:
-            continue
-        item, is_leaf, ray_tests = result
-        access_latency, ray_misses = mem.access_lines(
-            item_lines[item], AccessKind.BVH, cycle
-        )
-        max_latency = max(max_latency, access_latency)
-        if ray_misses:
-            missing_lanes += 1
-            misses += ray_misses
-        stepped.append(ray)
-        tests += ray_tests
-        if is_leaf:
-            step_leaves += 1
-            stats.leaf_visits += 1
-        else:
-            stats.node_visits += 1
-    if not stepped:
-        return 0.0, [], 0
-    stats.triangle_tests += tests
-    latency = step_latency(
-        config, len(stepped), max_latency, missing_lanes, misses,
-        gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
-    )
-    stats.record_simt(len(stepped), config.warp_size)
-    stats.record_mode(mode, latency, tests)
-    return latency, stepped, tests
-
-
 def step_latency(
     config: GPUConfig,
     lanes: int,
@@ -158,8 +91,8 @@ def step_latency(
     guarded add keeps triangle steps float-identical to the historical
     formula.
 
-    Shared by :func:`warp_step` and the SoA replay engines; the float
-    operation order here is part of the bit-exactness contract.
+    Shared by every policy unit; the float operation order here is part
+    of the bit-exactness contract.
     """
     latency = float(config.l1_latency)
     if missing_lanes:

@@ -5,7 +5,7 @@ The observability layer every other subsystem instruments against
 
 * **Observational.**  Metrics are written next to existing code paths and
   never feed back into them — instrumenting a run must not change any
-  simulated number (the same bar as the SoA replay engine).
+  simulated number (the same bar as plan replay).
 * **Exact.**  Counter values are plain Python numbers accumulated with
   ``+=``; bridging a :class:`repro.gpusim.stats.SimStats` into the
   registry reproduces its values bit-for-bit (tests assert equality, not

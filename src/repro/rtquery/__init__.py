@@ -16,9 +16,11 @@ This package implements that claim end-to-end for two such workloads:
   points become bounding octahedra, a query becomes a short any-hit
   segment, candidates are distance-filtered exactly.
 
-Both run their query rays through the unmodified timing engines
-(baseline, prefetch, VTQ), so the treelet-queue machinery is exercised by
-non-rendering traffic exactly as the paper anticipates.
+All three run their query rays through the same timing engines as
+rendering (baseline, prefetch, VTQ): :func:`time_queries` traces the
+whole query batch once and replays the traces through the policy units,
+so the treelet-queue machinery is exercised by non-rendering traffic
+exactly as the paper anticipates.
 """
 
 from repro.rtquery.range_index import RangeIndex

@@ -1,8 +1,10 @@
 """Timing driver for query workloads: run query rays through the engines.
 
 Rendering has a shading/bounce loop; query workloads are simpler — a flat
-batch of independent "rays" (each a prepared traversal state) traced once.
-This driver packs them into warps, feeds them to the chosen RT-unit
+batch of independent "rays" (each a prepared traversal state) traced once,
+the RTNN / RTIndeX shape, which is one bounce of a render plan.  This
+driver traces the whole batch in one :func:`~repro.gpusim.soa.trace_states`
+call, packs the traces into warps, replays them through the chosen RT-unit
 engine, and reports cycles plus the usual statistics, so RTIndeX-style
 and point-in-mesh workloads can be compared across baseline / prefetch /
 VTQ exactly like rendering is.
@@ -19,6 +21,7 @@ from repro.core.rt_unit_vtq import VTQRTUnit
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.memory import MemorySystem, make_shared_l2
 from repro.gpusim.rt_unit import BaselineRTUnit
+from repro.gpusim.soa import ReplayState, trace_states
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 
@@ -46,7 +49,7 @@ def time_queries(
     ``state_factory(i)`` builds the i-th query's traversal state (see
     ``RangeIndex.make_query_state`` / ``MeshClassifier.make_query_state``).
     Functional results land in the returned ``states`` regardless of
-    policy — identical across engines, as with rendering.
+    policy — they are traced before any timing runs, as with rendering.
     """
     if num_queries < 1:
         raise ValueError("need at least one query")
@@ -66,7 +69,8 @@ def time_queries(
         raise ValueError(f"unknown policy {policy!r}")
 
     states = [state_factory(i) for i in range(num_queries)]
-    rays = [SimRay(i, i, i // config.cta_threads, 0, states[i])
+    traces = trace_states(bvh, states)
+    rays = [SimRay(i, i, i // config.cta_threads, 0, ReplayState(traces[i]))
             for i in range(num_queries)]
     for start in range(0, num_queries, config.warp_size):
         engine.submit(

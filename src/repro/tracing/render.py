@@ -7,7 +7,7 @@ benchmark harness use.  It:
    primary rays, path tracing and shading, run once per scene and
    shared by every policy and GPU configuration),
 2. groups path slots into CTAs and assigns CTAs round-robin to SMs,
-3. instantiates the selected replay engine per SM over a shared L2,
+3. instantiates the selected policy unit per SM over a shared L2,
 4. replays each bounce's traces through the engines, re-issuing the
    rays the plan says survived shading,
 5. returns the image plus merged statistics and the cycle count (max over
@@ -36,17 +36,14 @@ import numpy as np
 
 from repro import faults, settings
 from repro.errors import TraceError
+from repro.baselines.prefetch import PrefetchRTUnit
 from repro.core.config import VTQConfig
+from repro.core.rt_unit_vtq import VTQRTUnit
 from repro.core.virtualization import CTATracker, cta_state_bytes
 from repro.gpusim.config import ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
-from repro.gpusim.soa import get_plan
-from repro.gpusim.soa_engines import (
-    ReplayState,
-    SoABaselineRTUnit,
-    SoAPrefetchRTUnit,
-    SoAVTQRTUnit,
-)
+from repro.gpusim.rt_unit import BaselineRTUnit
+from repro.gpusim.soa import ReplayState, get_plan
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 
@@ -198,7 +195,7 @@ class _DriverBase:
     each bounce).  Rays are issued and ray ids allocated in the order a
     live path tracer would issue them — primaries CTA by CTA, then each
     completion's survivors — which keeps the ray-data address stream
-    identical to the scalar units'.
+    identical to the reference renderer's.
     """
 
     def __init__(
@@ -286,7 +283,7 @@ class _WarpDriver(_DriverBase):
 
     def run(self) -> float:
         config = self.config
-        unit = SoAPrefetchRTUnit if self.policy == "prefetch" else SoABaselineRTUnit
+        unit = PrefetchRTUnit if self.policy == "prefetch" else BaselineRTUnit
         engine = unit(
             self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
         )
@@ -325,7 +322,7 @@ class _SortedDriver(_DriverBase):
 
     def run(self) -> float:
         config = self.config
-        engine = SoABaselineRTUnit(
+        engine = BaselineRTUnit(
             self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
         )
         engine.timeline = self.timeline
@@ -367,7 +364,7 @@ class _VTQDriver(_DriverBase):
     def run(self) -> float:
         config = self.config
         vtq = self.vtq_config
-        engine = SoAVTQRTUnit(
+        engine = VTQRTUnit(
             self.bvh, config, vtq, self.mem, self.stats,
             cycle_budget=self.cycle_budget,
         )

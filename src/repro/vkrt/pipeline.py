@@ -13,6 +13,11 @@ its ray; closest-hit / miss callbacks run on the result (and may mutate
 the payload), then the generator resumes with the :class:`HitInfo`.  When
 the generator returns, the thread retires.
 
+A warp's rays are traced (:func:`~repro.gpusim.soa.trace_states`) when
+the warp is submitted, and the RT unit replays the traces for timing:
+a traversal's result does not depend on timing, so the hit a thread
+resumes with is the one live traversal would have produced.
+
 Under the ``"vtq"`` policy, suspended generators of a CTA are collected
 and resumed together when the CTA's last ray completes — the pipeline's
 ray virtualization is the paper's, acted out by Python coroutines.
@@ -32,6 +37,7 @@ from repro.core.virtualization import CTATracker, cta_state_bytes
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.memory import MemorySystem, make_shared_l2
 from repro.gpusim.rt_unit import BaselineRTUnit
+from repro.gpusim.soa import ReplayState, trace_states
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 from repro.vkrt.types import HitInfo, LaunchResult, TraceCall
@@ -174,6 +180,22 @@ class RayTracingPipeline:
             collect_all_hits=(call.mode == "all"),
         )
 
+    def _trace_warp(self, bvh, group, ray_seq, pending, cta: int, bounce: int):
+        """Trace the pending calls of ``group`` (one warp) and return its
+        replaying rays; ``pending[ray_id]`` keeps each ray's thread, call
+        and finished traversal state for :meth:`_resolve_hit`."""
+        rids = range(ray_seq[0], ray_seq[0] + len(group))
+        ray_seq[0] += len(group)
+        states = []
+        for rid, thread in zip(rids, group):
+            state = self._make_state(bvh, thread.pending, rid)
+            pending[rid] = (thread, thread.pending, state)
+            states.append(state)
+        return [
+            SimRay(rid, thread.launch_id, cta, bounce, ReplayState(trace))
+            for rid, thread, trace in zip(rids, group, trace_states(bvh, states))
+        ]
+
     def _resolve_hit(self, state, call: TraceCall, normals, material_ids) -> HitInfo:
         if call.mode == "all":
             return HitInfo(
@@ -212,16 +234,14 @@ class RayTracingPipeline:
         else:
             engine = BaselineRTUnit(bvh, config, mem, stats)
 
-        calls: Dict[int, TraceCall] = {}
+        pending: Dict[int, tuple] = {}
         ray_seq = [0]
-        by_ray: Dict[int, _Thread] = {}
 
         def on_complete(warp: TraceWarp, cycle: float) -> None:
             resumed = []
             for ray in warp.rays:
-                thread = by_ray.pop(ray.ray_id)
-                call = calls.pop(ray.ray_id)
-                hit = self._resolve_hit(ray.state, call, normals, material_ids)
+                thread, call, state = pending.pop(ray.ray_id)
+                hit = self._resolve_hit(state, call, normals, material_ids)
                 self._resume_thread(thread, hit)
                 resumed.append(thread)
             submit_with_tracking(resumed, cycle + config.shade_cycles_per_warp)
@@ -230,14 +250,7 @@ class RayTracingPipeline:
             batch = [t for t in candidates if t.pending is not None]
             for start in range(0, len(batch), config.warp_size):
                 group = batch[start : start + config.warp_size]
-                rays = []
-                for thread in group:
-                    rid = ray_seq[0]
-                    ray_seq[0] += 1
-                    calls[rid] = thread.pending
-                    by_ray[rid] = thread
-                    state = self._make_state(bvh, thread.pending, rid)
-                    rays.append(SimRay(rid, thread.launch_id, 0, 0, state))
+                rays = self._trace_warp(bvh, group, ray_seq, pending, 0, 0)
                 engine.submit(
                     TraceWarp(
                         rays,
@@ -262,8 +275,7 @@ class RayTracingPipeline:
         state_lines = (state_bytes + config.line_bytes - 1) // config.line_bytes
         occupancy = float(config.dram_line_transfer * state_lines)
 
-        calls: Dict[int, TraceCall] = {}
-        by_ray: Dict[int, _Thread] = {}
+        pending: Dict[int, tuple] = {}
         ray_seq = [0]
         generation: Dict[int, int] = {}
 
@@ -279,14 +291,7 @@ class RayTracingPipeline:
             stats.cta_saves += 1
             for start in range(0, len(batch), config.warp_size):
                 group = batch[start : start + config.warp_size]
-                rays = []
-                for thread in group:
-                    rid = ray_seq[0]
-                    ray_seq[0] += 1
-                    calls[rid] = thread.pending
-                    by_ray[rid] = thread
-                    state = self._make_state(bvh, thread.pending, rid)
-                    rays.append(SimRay(rid, thread.launch_id, cta, bounce, state))
+                rays = self._trace_warp(bvh, group, ray_seq, pending, cta, bounce)
                 engine.submit(TraceWarp(rays, cta_id=cta, ready_cycle=ready))
 
         def on_ray_complete(ray: SimRay, cycle: float) -> None:
@@ -303,11 +308,8 @@ class RayTracingPipeline:
                 engine.cycle += occupancy
             resumed = []
             for finished_ray in done:
-                thread = by_ray.pop(finished_ray.ray_id)
-                call = calls.pop(finished_ray.ray_id)
-                hit = self._resolve_hit(
-                    finished_ray.state, call, normals, material_ids
-                )
+                thread, call, state = pending.pop(finished_ray.ray_id)
+                hit = self._resolve_hit(state, call, normals, material_ids)
                 self._resume_thread(thread, hit)
                 resumed.append(thread)
             cta = ray.cta_id

@@ -1,37 +1,48 @@
-"""An independent scalar renderer: the oracle the replay engine is held to.
+"""An independent scalar engine: the oracle the production units are held to.
 
-``render_scene`` replays a precomputed render plan through the SoA
-timing engines.  This module renders the same scene the slow way, with
-no plan: real ``PathState``/``RayTraversalState`` objects are stepped
-warp by warp through the scalar policy units (``BaselineRTUnit``,
-``PrefetchRTUnit``, ``VTQRTUnit`` and :func:`repro.gpusim.warp.warp_step`),
+Production runs trace every traversal state once
+(:func:`repro.gpusim.soa.trace_states`) and replay the traces through
+the policy units' timing loops.  This module runs the same workloads the
+slow way, with no traces: real ``PathState``/``RayTraversalState``
+objects are stepped warp by warp, one :func:`warp_step` at a time,
 interleaving traversal, timing and shading exactly as a live GPU would.
-It shares no driver code with :mod:`repro.tracing.render` — only the
-result type, the STATS_CORRUPT fault site and the sanitizer, so error
-paths can be compared too — which makes every replay-vs-reference check
-a comparison between two independent implementations.
+
+The scalar units (:class:`ScalarBaselineRTUnit`,
+:class:`ScalarPrefetchRTUnit`, :class:`ScalarVTQRTUnit`) subclass the
+production units and replace only their traversal bodies — the warp
+loop, the prefetch step loop and the three VTQ phases — so they share
+the scheduler, queue tables, prefetch votes and CTA bookkeeping with
+production.  The drivers share no code with :mod:`repro.tracing.render`
+or :mod:`repro.rtquery` — only the result types, the STATS_CORRUPT fault
+site and the sanitizer, so error paths can be compared too — which makes
+every production-vs-reference check a comparison between two
+independent traversal and timing implementations.
 
 ``reference_render`` takes the same arguments as ``render_scene`` (minus
-the trace recorder) and returns a ``RenderResult``.
+the trace recorder) and returns a ``RenderResult``;
+``reference_time_queries`` mirrors ``time_queries``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import settings
 from repro.baselines.prefetch import PrefetchRTUnit
+from repro.bvh.traversal import single_step
 from repro.core.config import VTQConfig
-from repro.core.rt_unit_vtq import VTQRTUnit
+from repro.core.rt_unit_vtq import RayCallback, VTQRTUnit
 from repro.core.virtualization import CTATracker, cta_state_bytes
 from repro.geometry.morton import ray_sort_keys
-from repro.gpusim.memory import MemorySystem, make_shared_l2
+from repro.gpusim.config import GPUConfig, scaled_config
+from repro.gpusim.memory import AccessKind, MemorySystem, make_shared_l2
 from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.sanitize import check_render
-from repro.gpusim.stats import SimStats
-from repro.gpusim.warp import SimRay, TraceWarp
+from repro.gpusim.stats import SimStats, TraversalMode
+from repro.gpusim.warp import SimRay, TraceWarp, gaussian_leaf_cycles, step_latency
+from repro.rtquery import QueryTimingResult
 from repro.tracing.path_tracer import PathState, ShadingEngine
 from repro.tracing.render import POLICIES, RenderResult, _apply_stats_fault
 
@@ -196,7 +207,9 @@ class _WarpDriver(_DriverBase):
 
     def run(self) -> float:
         config = self.config
-        unit = PrefetchRTUnit if self.policy == "prefetch" else BaselineRTUnit
+        unit = (
+            ScalarPrefetchRTUnit if self.policy == "prefetch" else ScalarBaselineRTUnit
+        )
         engine = unit(
             self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
         )
@@ -228,7 +241,7 @@ class _SortedDriver(_DriverBase):
 
     def run(self) -> float:
         config = self.config
-        engine = BaselineRTUnit(
+        engine = ScalarBaselineRTUnit(
             self.bvh, config, self.mem, self.stats, cycle_budget=self.cycle_budget,
         )
         engine.timeline = self.timeline
@@ -268,7 +281,7 @@ class _VTQDriver(_DriverBase):
     def run(self) -> float:
         config = self.config
         vtq = self.vtq_config
-        engine = VTQRTUnit(
+        engine = ScalarVTQRTUnit(
             self.bvh, config, vtq, self.mem, self.stats,
             cycle_budget=self.cycle_budget,
         )
@@ -318,3 +331,368 @@ class _VTQDriver(_DriverBase):
             for warp in warps:
                 engine.submit(warp)
         return engine.run(on_ray_complete)
+
+
+def reference_time_queries(
+    bvh,
+    state_factory,
+    num_queries: int,
+    policy: str = "baseline",
+    config: Optional[GPUConfig] = None,
+    vtq: Optional[VTQConfig] = None,
+) -> QueryTimingResult:
+    """:func:`repro.rtquery.time_queries` on the scalar units: the query
+    states are stepped live instead of traced up front."""
+    config = config or scaled_config()
+    stats = SimStats()
+    mem = MemorySystem(config, stats, make_shared_l2(config))
+    if vtq is None:
+        vtq = VTQConfig().scaled_to(min(config.max_virtual_rays_per_sm, num_queries))
+    if policy == "vtq":
+        engine = ScalarVTQRTUnit(bvh, config, vtq, mem, stats)
+    else:
+        unit = {"baseline": ScalarBaselineRTUnit, "prefetch": ScalarPrefetchRTUnit}
+        engine = unit[policy](bvh, config, mem, stats)
+    states = [state_factory(i) for i in range(num_queries)]
+    rays = [SimRay(i, i, i // config.cta_threads, 0, states[i])
+            for i in range(num_queries)]
+    for start in range(0, num_queries, config.warp_size):
+        engine.submit(
+            TraceWarp(rays[start : start + config.warp_size],
+                      cta_id=start // config.cta_threads)
+        )
+    if policy == "vtq":
+        cycles = engine.run(lambda ray, cycle: None)
+    else:
+        cycles = engine.run()
+    return QueryTimingResult(policy=policy, cycles=cycles, stats=stats, states=states)
+
+
+# ---------------------------------------------------------------------------
+# The scalar RT units: live traversal states, one single_step per lane
+
+
+def warp_step(
+    bvh,
+    rays: List[SimRay],
+    mem: MemorySystem,
+    config: GPUConfig,
+    stats: SimStats,
+    cycle: float,
+    mode: TraversalMode,
+    in_treelet_only: bool = False,
+) -> Tuple[float, List[SimRay], int]:
+    """Advance every unfinished ray of ``rays`` by one item visit.
+
+    Returns ``(latency, stepped, tests)``: the step's latency in cycles,
+    the rays that actually advanced, and the triangle tests performed.
+    Rays whose step returns ``None`` (finished, or parked at a treelet
+    boundary when ``in_treelet_only``) are left untouched and excluded
+    from ``stepped``.
+
+    Memory accesses of the lanes overlap: the step waits for the slowest
+    lane (memory divergence), exactly the RT-unit behaviour the paper's
+    SIMT-efficiency argument relies on.
+    """
+    max_latency = 0.0
+    missing_lanes = 0
+    misses = 0
+    stepped: List[SimRay] = []
+    tests = 0
+    step_leaves = 0
+    gaussian = getattr(bvh, "prim_kind", "triangle") == "gaussian"
+    item_lines = bvh.item_lines
+    for ray in rays:
+        result = single_step(bvh, ray.state, in_treelet_only=in_treelet_only)
+        if result is None:
+            continue
+        item, is_leaf, ray_tests = result
+        access_latency, ray_misses = mem.access_lines(
+            item_lines[item], AccessKind.BVH, cycle
+        )
+        max_latency = max(max_latency, access_latency)
+        if ray_misses:
+            missing_lanes += 1
+            misses += ray_misses
+        stepped.append(ray)
+        tests += ray_tests
+        if is_leaf:
+            step_leaves += 1
+            stats.leaf_visits += 1
+        else:
+            stats.node_visits += 1
+    if not stepped:
+        return 0.0, [], 0
+    stats.triangle_tests += tests
+    latency = step_latency(
+        config, len(stepped), max_latency, missing_lanes, misses,
+        gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
+    )
+    stats.record_simt(len(stepped), config.warp_size)
+    stats.record_mode(mode, latency, tests)
+    return latency, stepped, tests
+
+
+class ScalarBaselineRTUnit(BaselineRTUnit):
+    """The baseline unit stepping live ``RayTraversalState`` lanes.
+
+    Subclass names contain the production names, so SIM_STALL fault
+    specs written against the production units fire here too.
+    """
+
+    def process_warp(self, warp: TraceWarp) -> None:
+        """Traverse every ray of ``warp`` to completion (warp buffer = 1)."""
+        start = self.cycle
+        active = warp.active_rays()
+        launched = len(active)
+        while active:
+            latency, stepped, _ = warp_step(
+                self.bvh, active, self.mem, self.config, self.stats,
+                self.cycle, self._mode,
+            )
+            if not stepped:
+                break
+            self.cycle += latency
+            active = [r for r in active if not r.finished()]
+        # Rays can finish inside a step (all remaining stack entries culled)
+        # and be excluded from ``stepped``; refilter before counting.
+        active = [r for r in active if not r.finished()]
+        self.stats.rays_completed += launched - len(active)
+        self.stats.warps_processed += 1
+        if self.timeline is not None:
+            self.timeline.record(
+                "warp", "ray_stationary", start, self.cycle,
+                {"cta": warp.cta_id, "rays": len(warp.rays)},
+            )
+
+
+class ScalarPrefetchRTUnit(PrefetchRTUnit):
+    """The prefetch unit stepping live lanes; votes, outstanding-prefetch
+    bookkeeping and the demand-miss hook are the production unit's."""
+
+    def process_warp(self, warp: TraceWarp) -> None:
+        active = warp.active_rays()
+        launched = len(active)
+        steps = 0
+        while active:
+            if steps % self.reevaluate_steps == 0:
+                # With a warp buffer of one, "rays in the RT unit" are the
+                # current warp's rays.
+                self._refresh_votes(active)
+                # Stop tracking prefetches for treelets nobody wants now.
+                self._settle_outstanding(keep=self._popular_treelets())
+            # Items at the rays' stack tops are what the next step fetches;
+            # mark any the prefetcher brought in as used.
+            self._note_accesses(active)
+            latency, stepped, _ = warp_step(
+                self.bvh, active, self.mem, self.config, self.stats,
+                self.cycle, self._mode,
+            )
+            if not stepped:
+                break
+            self.cycle += latency
+            steps += 1
+            active = [r for r in active if not r.finished()]
+        # Rays can finish inside a step and be excluded from ``stepped``;
+        # refilter before counting completions.
+        active = [r for r in active if not r.finished()]
+        self.stats.rays_completed += launched - len(active)
+        self.stats.warps_processed += 1
+
+
+class ScalarVTQRTUnit(VTQRTUnit):
+    """The VTQ unit stepping live lanes; the scheduler, queue tables and
+    CTA bookkeeping are the production unit's."""
+
+    def _initial_phase(self, rays: List[SimRay], cb: RayCallback) -> None:
+        """Ray-stationary traversal of an arriving warp until it diverges."""
+        phase_start = self.cycle
+        self._rays_in_unit += len(rays)
+        # Writing the warp's ray records into the reserved L2 region;
+        # store traffic only (stores retire through the write queue).
+        for ray in rays:
+            self.mem.ray_data_access(ray.ray_id, self.cycle, write=True)
+
+        active = [r for r in rays if not r.finished()]
+        for ray in rays:
+            if ray.finished():  # degenerate: ray submitted already done
+                self._complete(ray, cb)
+        while active:
+            treelets = {self._position_treelet(r) for r in active}
+            treelets.discard(None)
+            if len(treelets) > self.vtq.divergence_threshold:
+                break
+            latency, stepped, _ = warp_step(
+                self.bvh, active, self.mem, self.config, self.stats,
+                self.cycle, TraversalMode.INITIAL_RAY_STATIONARY,
+            )
+            self.cycle += latency
+            # Sweep finished rays (they can finish for free via culling even
+            # when their step returned no work) before the break decision.
+            still_active = []
+            for ray in active:
+                if ray.finished():
+                    self._complete(ray, cb)
+                else:
+                    still_active.append(ray)
+            active = still_active
+            if not stepped:
+                break
+
+        # Terminate the warp: write surviving rays to the treelet queues.
+        for ray in active:
+            treelet = self._position_treelet(ray)
+            if treelet is None:  # pragma: no cover - finished rays left above
+                self._complete(ray, cb)
+            else:
+                self.queues.push(treelet, ray)
+        self.stats.warps_processed += 1
+        if self.timeline is not None:
+            self.timeline.record(
+                "initial warp", "initial_ray_stationary", phase_start, self.cycle,
+                {"rays": len(rays), "queued": len(active)},
+            )
+
+    def _process_treelet_queue(self, treelet: int, cb: RayCallback) -> None:
+        """Fetch one treelet and drain its whole queue through the L1."""
+        phase_start = self.cycle
+        fetch_latency = self.mem.fetch_treelet(
+            self.bvh.treelet_lines[treelet], self.cycle
+        )
+        if self.vtq.preload_enabled:
+            overlap = min(self._preload_credit, fetch_latency)
+            fetch_latency -= overlap
+        self.cycle += fetch_latency
+        self.stats.record_mode(TraversalMode.TREELET_STATIONARY, fetch_latency)
+
+        work_cycles = 0.0
+        warp_size = self.config.warp_size
+        prev_warp_cycles = 0.0
+        while True:
+            rays = self.queues.pop_warp(treelet, warp_size)
+            if not rays:
+                break
+            # Ray data loads from the reserved L2 region (bypassing L1);
+            # the lanes' loads overlap.  With preloading (Section 4.3:
+            # "Ray data can also be preloaded similarly") the controller
+            # fetches the next warp's records while the current warp
+            # steps, hiding the load behind the previous warp's work.
+            load_latency = 0.0
+            for ray in rays:
+                load_latency = max(
+                    load_latency, self.mem.ray_data_access(ray.ray_id, self.cycle)
+                )
+            if self.vtq.preload_enabled:
+                load_latency = max(0.0, load_latency - prev_warp_cycles)
+            self.cycle += load_latency
+            work_cycles += load_latency
+            self.stats.record_mode(TraversalMode.TREELET_STATIONARY, load_latency)
+            prev_warp_cycles = 0.0
+
+            for ray in rays:
+                if not ray.state.has_current_work():
+                    ray.state.enter_treelet(treelet)
+
+            active = [r for r in rays if not r.finished()]
+            while active:
+                latency, stepped, _ = warp_step(
+                    self.bvh, active, self.mem, self.config, self.stats,
+                    self.cycle, TraversalMode.TREELET_STATIONARY,
+                    in_treelet_only=True,
+                )
+                if not stepped:
+                    break
+                self.cycle += latency
+                work_cycles += latency
+                prev_warp_cycles += latency
+                active = [
+                    r for r in active
+                    if not r.finished() and r.state.has_current_work()
+                ]
+
+            # Park or retire every ray of this treelet warp.
+            for ray in rays:
+                if ray.finished():
+                    self._complete(ray, cb)
+                    continue
+                nxt = ray.state.next_treelet()
+                if nxt is None:
+                    self._complete(ray, cb)
+                else:
+                    self.queues.push(nxt, ray)
+            self.stats.warps_processed += 1
+
+        # Section 4.3: the controller preloads the next treelet while this
+        # one is processed, hiding up to this queue's processing time of
+        # the next fetch.
+        self._preload_credit = work_cycles if self.vtq.preload_enabled else 0.0
+        if self.timeline is not None:
+            self.timeline.record(
+                f"treelet {treelet}", "treelet_stationary", phase_start, self.cycle,
+                {"treelet": treelet},
+            )
+
+    def _process_final_warp(self, rays: List[SimRay], cb: RayCallback) -> None:
+        """Ray-stationary traversal of grouped rays, with warp repacking."""
+        phase_start = self.cycle
+        load_latency = 0.0
+        for ray in rays:
+            load_latency = max(
+                load_latency, self.mem.ray_data_access(ray.ray_id, self.cycle)
+            )
+        self.cycle += load_latency
+        self.stats.record_mode(TraversalMode.FINAL_RAY_STATIONARY, load_latency)
+
+        active = [r for r in rays if not r.finished()]
+        for ray in rays:
+            if ray.finished():  # pragma: no cover - defensive
+                self._complete(ray, cb)
+        while active:
+            latency, stepped, _ = warp_step(
+                self.bvh, active, self.mem, self.config, self.stats,
+                self.cycle, TraversalMode.FINAL_RAY_STATIONARY,
+            )
+            self.cycle += latency
+            # Rays can finish *inside* a step for free when their remaining
+            # stack entries are all culled — including rays whose step
+            # returned no work (absent from `stepped`).  Sweep finished
+            # rays before deciding whether the warp is done.
+            still_active = []
+            for ray in active:
+                if ray.finished():
+                    self._complete(ray, cb)
+                else:
+                    still_active.append(ray)
+            active = still_active
+            if not stepped:
+                break
+
+            if (
+                self.vtq.repack_enabled
+                and active
+                and len(active) < self.vtq.repack_threshold
+            ):
+                refill = self.queues.pop_any(self.config.warp_size - len(active))
+                if refill:
+                    refill_latency = 0.0
+                    for ray in refill:
+                        refill_latency = max(
+                            refill_latency,
+                            self.mem.ray_data_access(ray.ray_id, self.cycle),
+                        )
+                    self.cycle += refill_latency
+                    self.stats.record_mode(
+                        TraversalMode.FINAL_RAY_STATIONARY, refill_latency
+                    )
+                    self.stats.warp_repacks += 1
+                    for ray in refill:
+                        if ray.finished():  # pragma: no cover - defensive
+                            self._complete(ray, cb)
+                        else:
+                            active.append(ray)
+        self.stats.warps_processed += 1
+        if self.timeline is not None:
+            self.timeline.record(
+                "final warp", "final_ray_stationary", phase_start, self.cycle,
+                {"initial_rays": len(rays)},
+            )

@@ -1,12 +1,10 @@
 """Tests for the Treelet Prefetching baseline (Chou et al., MICRO 2023)."""
 
-import pytest
-
 from repro.baselines import PrefetchRTUnit
 from repro.gpusim import MemorySystem, SimStats, TraceWarp
 from repro.gpusim.config import scaled_config
 
-from tests.test_core_rt_unit_vtq import make_sim_rays
+from tests.test_core_rt_unit_vtq import make_sim_rays, make_states
 
 
 def make_unit(bvh):
@@ -18,22 +16,25 @@ def make_unit(bvh):
 
 class TestPrefetchUnit:
     def test_functional_results_unchanged(self, soup_bvh):
+        """Traced states carry the reference hits; the unit retires every
+        ray replaying them."""
         from repro.bvh.traversal import full_traverse
 
-        unit, _ = make_unit(soup_bvh)
-        rays = make_sim_rays(soup_bvh, 32, seed=1)
+        unit, stats = make_unit(soup_bvh)
+        states = make_states(soup_bvh, 32, seed=1)
         refs = [
-            full_traverse(soup_bvh, (r.state.ox, r.state.oy, r.state.oz),
-                          (r.state.dx, r.state.dy, r.state.dz))
-            for r in rays
+            full_traverse(soup_bvh, (s.ox, s.oy, s.oz), (s.dx, s.dy, s.dz))
+            for s in states
         ]
+        rays = make_sim_rays(soup_bvh, 32, seed=1, states=states)
         unit.submit(TraceWarp(rays, 0))
         unit.run()
-        for ray, ref in zip(rays, refs):
-            rec = ray.state.hit_record()
+        assert stats.rays_completed == 32
+        for state, ref in zip(states, refs):
+            rec = state.hit_record()
             assert rec.hit == ref.hit
             if rec.hit:
-                assert rec.t == pytest.approx(ref.t)
+                assert rec.t == ref.t
 
     def test_prefetches_issued(self, soup_bvh):
         unit, stats = make_unit(soup_bvh)

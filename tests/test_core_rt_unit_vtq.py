@@ -6,6 +6,7 @@ from repro.bvh.traversal import full_traverse, init_traversal
 from repro.core import VTQConfig, VTQRTUnit
 from repro.gpusim import MemorySystem, SimRay, SimStats, TraceWarp, TraversalMode
 from repro.gpusim.config import scaled_config
+from repro.gpusim.soa import ReplayState, trace_states
 
 from tests.test_bvh_traversal import make_rays
 
@@ -18,12 +19,20 @@ def make_engine(bvh, vtq=None, config=None):
     return VTQRTUnit(bvh, config, vtq, mem, stats), stats
 
 
-def make_sim_rays(bvh, n, seed, cta=0, base_id=0):
+def make_states(bvh, n, seed):
+    """``n`` fresh traversal states of random rays into ``bvh``."""
     origins, directions = make_rays(bvh, n, seed)
+    return [init_traversal(bvh, origins[i], directions[i]) for i in range(n)]
+
+
+def make_sim_rays(bvh, n, seed, cta=0, base_id=0, states=None):
+    """Rays replaying the traces of ``states`` (default: ``n`` random rays)
+    — what the policy units consume."""
+    if states is None:
+        states = make_states(bvh, n, seed)
     return [
-        SimRay(base_id + i, base_id + i, cta, 0,
-               init_traversal(bvh, origins[i], directions[i]))
-        for i in range(n)
+        SimRay(base_id + i, base_id + i, cta, 0, ReplayState(trace))
+        for i, trace in enumerate(trace_states(bvh, states))
     ]
 
 
@@ -67,20 +76,25 @@ class TestCompleteness:
         assert len(done) == 128
 
     def test_functional_results_exact(self, soup_bvh):
+        """Traced states carry the exact hits, and the unit retires every
+        ray replaying them."""
         engine, _ = make_engine(soup_bvh)
-        rays = make_sim_rays(soup_bvh, 64, seed=5)
+        states = make_states(soup_bvh, 64, seed=5)
         refs = [
-            full_traverse(soup_bvh, (r.state.ox, r.state.oy, r.state.oz),
-                          (r.state.dx, r.state.dy, r.state.dz))
-            for r in rays
+            full_traverse(soup_bvh, (s.ox, s.oy, s.oz), (s.dx, s.dy, s.dz))
+            for s in states
         ]
+        rays = make_sim_rays(soup_bvh, 64, seed=5, states=states)
         submit_all(engine, rays)
-        engine.run(lambda r, c: None)
-        for ray, ref in zip(rays, refs):
-            rec = ray.state.hit_record()
+        done = []
+        engine.run(lambda r, c: done.append(r.ray_id))
+        assert sorted(done) == list(range(64))
+        assert all(ray.finished() for ray in rays)
+        for state, ref in zip(states, refs):
+            rec = state.hit_record()
             assert rec.hit == ref.hit
             if rec.hit:
-                assert rec.t == pytest.approx(ref.t)
+                assert rec.t == ref.t
                 assert rec.prim_id == ref.prim_id
 
     def test_callback_resubmission(self, soup_bvh):

@@ -1,9 +1,14 @@
-"""Tests for the warp-step primitive and the baseline RT unit."""
+"""Tests for the warp-step cost model and the baseline RT unit.
 
-import numpy as np
+The baseline unit replays traced states (``make_sim_rays``).  The
+warp-step tests drive the scalar reference's :func:`warp_step` over live
+traversal states (``make_live_rays``): it prices one step with the same
+:func:`repro.gpusim.warp.step_latency` the units charge.
+"""
+
 import pytest
 
-from repro.bvh.traversal import TraversalOrder, full_traverse, init_traversal
+from repro.bvh.traversal import full_traverse, init_traversal
 from repro.gpusim import (
     BaselineRTUnit,
     MemorySystem,
@@ -11,11 +16,12 @@ from repro.gpusim import (
     SimStats,
     TraceWarp,
     TraversalMode,
-    warp_step,
 )
 from repro.gpusim.config import scaled_config
 
+from tests.scalar_reference import warp_step
 from tests.test_bvh_traversal import make_rays
+from tests.test_core_rt_unit_vtq import make_sim_rays, make_states
 
 
 @pytest.fixture
@@ -26,7 +32,7 @@ def env(soup_bvh):
     return soup_bvh, config, mem, stats
 
 
-def make_sim_rays(bvh, n, seed, cta=0):
+def make_live_rays(bvh, n, seed, cta=0):
     origins, directions = make_rays(bvh, n, seed)
     return [
         SimRay(i, i, cta, 0, init_traversal(bvh, origins[i], directions[i]))
@@ -37,7 +43,7 @@ def make_sim_rays(bvh, n, seed, cta=0):
 class TestWarpStep:
     def test_single_step_latency_positive(self, env):
         bvh, config, mem, stats = env
-        rays = make_sim_rays(bvh, 8, seed=1)
+        rays = make_live_rays(bvh, 8, seed=1)
         latency, stepped, _ = warp_step(
             bvh, rays, mem, config, stats, 0.0, TraversalMode.FINAL_RAY_STATIONARY
         )
@@ -46,14 +52,14 @@ class TestWarpStep:
 
     def test_simt_recorded(self, env):
         bvh, config, mem, stats = env
-        rays = make_sim_rays(bvh, 8, seed=2)
+        rays = make_live_rays(bvh, 8, seed=2)
         warp_step(bvh, rays, mem, config, stats, 0.0, TraversalMode.FINAL_RAY_STATIONARY)
         assert stats.simt_steps == 1
         assert stats.simt_active_sum == pytest.approx(8 / 32)
 
     def test_empty_when_all_finished(self, env):
         bvh, config, mem, stats = env
-        rays = make_sim_rays(bvh, 4, seed=3)
+        rays = make_live_rays(bvh, 4, seed=3)
         for ray in rays:
             while not ray.finished():
                 warp_step(
@@ -67,30 +73,32 @@ class TestWarpStep:
 
     def test_mode_cycles_attributed(self, env):
         bvh, config, mem, stats = env
-        rays = make_sim_rays(bvh, 4, seed=4)
+        rays = make_live_rays(bvh, 4, seed=4)
         warp_step(bvh, rays, mem, config, stats, 0.0, TraversalMode.TREELET_STATIONARY)
         assert stats.mode_cycles[TraversalMode.TREELET_STATIONARY] > 0
 
 
 class TestBaselineRTUnit:
     def test_traversal_matches_reference(self, env):
-        """The timing engine must not change functional results."""
+        """Traced states carry the reference hits; the unit retires every
+        ray replaying them."""
         bvh, config, mem, stats = env
-        rays = make_sim_rays(bvh, 32, seed=5)
+        states = make_states(bvh, 32, seed=5)
         references = [
-            full_traverse(bvh, (r.state.ox, r.state.oy, r.state.oz),
-                          (r.state.dx, r.state.dy, r.state.dz))
-            for r in rays
+            full_traverse(bvh, (s.ox, s.oy, s.oz), (s.dx, s.dy, s.dz))
+            for s in states
         ]
+        rays = make_sim_rays(bvh, 32, seed=5, states=states)
         unit = BaselineRTUnit(bvh, config, mem, stats)
         unit.submit(TraceWarp(rays, cta_id=0))
         unit.run()
-        for ray, ref in zip(rays, references):
+        assert stats.rays_completed == 32
+        for ray, state, ref in zip(rays, states, references):
             assert ray.finished()
-            rec = ray.state.hit_record()
+            rec = state.hit_record()
             assert rec.hit == ref.hit
             if rec.hit:
-                assert rec.t == pytest.approx(ref.t)
+                assert rec.t == ref.t
 
     def test_cycles_monotonic_with_work(self, env):
         bvh, config, mem, stats = env
@@ -158,7 +166,7 @@ class TestFractionalStall:
 
     def test_all_hit_step_costs_hit_latency(self, soup_bvh):
         config, mem, stats = self.make_env()
-        rays = make_sim_rays(soup_bvh, 8, seed=20)
+        rays = make_live_rays(soup_bvh, 8, seed=20)
         # Warm every line the first step will touch.
         for ray in rays:
             item = ray.state.current_stack[-1][0]
@@ -174,7 +182,7 @@ class TestFractionalStall:
         """All 8 lanes start at the root: one lane's miss fills the line
         for the rest (coalescing), so only 1/8 of lanes stall."""
         config, mem, stats = self.make_env()
-        rays = make_sim_rays(soup_bvh, 8, seed=21)
+        rays = make_live_rays(soup_bvh, 8, seed=21)
         latency, _, _ = warp_step(
             soup_bvh, rays, mem, config, stats, 0.0,
             TraversalMode.FINAL_RAY_STATIONARY,
@@ -190,7 +198,7 @@ class TestFractionalStall:
         """One warm lane plus one cold lane at *different* nodes lands
         between the all-hit and all-miss costs."""
         config, mem, stats = self.make_env()
-        rays = make_sim_rays(soup_bvh, 2, seed=22)
+        rays = make_live_rays(soup_bvh, 2, seed=22)
         # Advance ray B alone so its stack top differs from the root.
         warp_step(
             soup_bvh, [rays[1]], mem, config, stats, 0.0,
@@ -222,8 +230,8 @@ class TestFractionalStall:
         stats_a, stats_b = SimStats(), SimStats()
         config = scaled_config()
         config_ser = replace(config, miss_serialization_cycles=50)
-        rays_a = make_sim_rays(soup_bvh, 16, seed=23)
-        rays_b = make_sim_rays(soup_bvh, 16, seed=23)
+        rays_a = make_live_rays(soup_bvh, 16, seed=23)
+        rays_b = make_live_rays(soup_bvh, 16, seed=23)
         lat_a, _, _ = warp_step(
             soup_bvh, rays_a, MemorySystem(config, stats_a), config, stats_a,
             0.0, TraversalMode.FINAL_RAY_STATIONARY,

@@ -1,14 +1,16 @@
 """Batch intersection kernels must be bit-identical to the scalar loops.
 
-The SoA render-plan builder uses the vectorized kernels
-(:mod:`repro.geometry.batch` plus the ``*_batch`` helpers in
-:mod:`repro.bvh.traversal`) where the scalar engines step one lane at a
-time, and the two engines must agree bit for bit, so the contract is
+The state tracer (:func:`repro.gpusim.soa.trace_states`) uses the
+vectorized kernels (:mod:`repro.geometry.batch` plus the ``*_batch``
+helpers in :mod:`repro.bvh.traversal`) where ``single_step`` advances
+one lane at a time, and the two must agree bit for bit, so the contract is
 exact float equality — not approximate agreement.  These tests exercise the kernels
 property-style against scalar re-implementations and against the real
 traversal code on real BVHs, including the awkward inputs: axis-parallel
 rays, degenerate triangles and tight ``t``-window clipping.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -562,3 +564,70 @@ class TestGaussianTraversalEquivalence:
             assert a.leaf_visits == b.leaf_visits
             assert a.triangle_tests == b.triangle_tests
             assert a.culled == b.culled
+
+
+@functools.lru_cache(maxsize=None)
+def _any_hit_workloads():
+    """Any-hit states of the three Section 8 query workloads, 128 each."""
+    from repro.rtquery import MeshClassifier, NeighborIndex, RangeIndex
+    from repro.scenes import icosphere
+
+    rng = np.random.default_rng(29)
+    n = 128
+    index = RangeIndex(rng.uniform(0.0, 1000.0, 2000))
+    lows = rng.uniform(0.0, 950.0, n)
+    points = rng.uniform(-5.0, 5.0, (300, 3))
+    neighbors = NeighborIndex(points, 0.8)
+    near = rng.uniform(-5.0, 5.0, (n, 3))
+    classifier = MeshClassifier(icosphere(3, radius=2.0))
+    inside = rng.uniform(-2.5, 2.5, (n, 3))
+    return {
+        "range_index": (
+            index.bvh, lambda i: index.make_query_state(lows[i], lows[i] + 50.0)
+        ),
+        "neighbor_index": (
+            neighbors.bvh, lambda i: neighbors.make_query_state(near[i])
+        ),
+        "mesh_classifier": (
+            classifier.bvh, lambda i: classifier.make_query_state(inside[i])
+        ),
+    }
+
+
+@pytest.mark.parametrize("workload", ["range_index", "neighbor_index", "mesh_classifier"])
+@pytest.mark.parametrize("min_groups", [0, tv.BATCH_MIN_LEAF_GROUPS])
+def test_any_hit_states_keep_their_hits_in_batch(workload, min_groups):
+    """States collecting all hits take the scalar leaf kernel inside
+    ``intersect_leaves_batch``: no closest-hit pruning, every hit kept.
+
+    ``min_groups`` 0 sends every leaf wave to the batch path; the
+    production cutoff needs waves of at least 16 leaf groups, which 128
+    lock-stepped query rays reach.
+    """
+    bvh, make_state = _any_hit_workloads()[workload]
+    n = 128
+    scalar = [make_state(i) for i in range(n)]
+    batch = [make_state(i) for i in range(n)]
+    widest = []
+    original = tv.intersect_leaves_batch
+
+    def counting(bvh_, groups):
+        widest.append(len(groups))
+        return original(bvh_, groups)
+
+    tv.intersect_leaves_batch = counting
+    try:
+        _drain(bvh, scalar, use_batch=False, min_groups=0)
+        _drain(bvh, batch, use_batch=True, min_groups=min_groups)
+    finally:
+        tv.intersect_leaves_batch = original
+    assert max(widest) >= 16
+    assert sum(len(s.all_hits) for s in scalar) > 0
+    for a, b in zip(scalar, batch):
+        assert a.all_hits == b.all_hits
+        assert a.t_hit == b.t_hit
+        assert a.hit_prim == b.hit_prim
+        assert a.nodes_visited == b.nodes_visited
+        assert a.leaf_visits == b.leaf_visits
+        assert a.triangle_tests == b.triangle_tests
+        assert a.culled == b.culled

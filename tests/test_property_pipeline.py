@@ -119,36 +119,47 @@ class TestPipelineProperties:
     @SETTINGS
     @given(mesh_strategy(), st.integers(0, 500))
     def test_engines_agree_on_random_scenes(self, mesh, seed):
-        """Baseline and VTQ engines retire identical hit records."""
+        """Baseline and VTQ units replaying traced states match the scalar
+        reference units stepping live states: hit records, cycles and
+        every counter."""
         from repro.core import VTQConfig, VTQRTUnit
         from repro.gpusim import (
             BaselineRTUnit, MemorySystem, SimRay, SimStats, TraceWarp,
         )
         from repro.gpusim.config import scaled_config
+        from repro.gpusim.soa import ReplayState, trace_states
         from repro.bvh.traversal import init_traversal
+        from tests.scalar_reference import ScalarBaselineRTUnit, ScalarVTQRTUnit
 
         bvh = build_scene_bvh(mesh, treelet_budget_bytes=512)
         origins, directions = rays_for(mesh, 16, seed)
         config = scaled_config()
-        outcomes = []
-        for engine_kind in ("baseline", "vtq"):
-            stats = SimStats()
-            mem = MemorySystem(config, stats)
-            rays = [
-                SimRay(i, i, 0, 0, init_traversal(bvh, origins[i], directions[i]))
-                for i in range(16)
-            ]
-            if engine_kind == "baseline":
-                engine = BaselineRTUnit(bvh, config, mem, stats)
-                engine.submit(TraceWarp(rays, 0))
-                engine.run()
-            else:
-                engine = VTQRTUnit(
-                    bvh, config, VTQConfig(queue_threshold=4), mem, stats
-                )
-                engine.submit(TraceWarp(rays, 0))
-                engine.run(lambda r, c: None)
-            outcomes.append(
-                [(r.state.hit_prim, round(r.state.t_hit, 9)) for r in rays]
-            )
-        assert outcomes[0] == outcomes[1]
+        vtq = VTQConfig(queue_threshold=4)
+        units = {
+            "baseline": (BaselineRTUnit, ScalarBaselineRTUnit),
+            "vtq": (VTQRTUnit, ScalarVTQRTUnit),
+        }
+        for engine_kind, classes in units.items():
+            outcomes = []
+            for unit, live in zip(classes, (False, True)):
+                stats = SimStats()
+                mem = MemorySystem(config, stats)
+                states = [
+                    init_traversal(bvh, origins[i], directions[i]) for i in range(16)
+                ]
+                lanes = states if live else map(ReplayState, trace_states(bvh, states))
+                rays = [SimRay(i, i, 0, 0, lane) for i, lane in enumerate(lanes)]
+                if engine_kind == "baseline":
+                    engine = unit(bvh, config, mem, stats)
+                    engine.submit(TraceWarp(rays, 0))
+                    cycles = engine.run()
+                else:
+                    engine = unit(bvh, config, vtq, mem, stats)
+                    engine.submit(TraceWarp(rays, 0))
+                    cycles = engine.run(lambda r, c: None)
+                outcomes.append((
+                    [(s.hit_prim, s.t_hit) for s in states],
+                    cycles,
+                    stats.snapshot(),
+                ))
+            assert outcomes[0] == outcomes[1]

@@ -126,8 +126,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sim_stall_fault_hits_soa_engines(self, ctx, policy):
-        """SIM_STALL specs match the replay classes (names contain the
-        scalar names), so chaos runs behave the same under either."""
+        """SIM_STALL specs written against the production unit names
+        also match the reference's scalar subclasses (their names contain
+        the production names), so chaos runs behave the same under
+        either."""
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         cycles = []
         for render in (reference_render, render_scene):

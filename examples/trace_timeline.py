@@ -49,10 +49,11 @@ def main() -> int:
             shading.make_primary(p, primaries.origins[p], primaries.directions[p]))
         for p in range(1024)
     ]
-    # Trace the rays once; the RT unit replays the traces for timing.
+    # Trace the rays once; the RT unit replays the traced batch for timing.
+    batch = trace_states(bvh, states)
     rays = [
-        SimRay(p, p, p // config.cta_threads, 0, ReplayState(trace))
-        for p, trace in enumerate(trace_states(bvh, states))
+        SimRay(p, p, p // config.cta_threads, 0, ReplayState(batch, p))
+        for p in range(len(states))
     ]
     for start in range(0, len(rays), config.warp_size):
         engine.submit(TraceWarp(rays[start:start + 32],

@@ -222,19 +222,19 @@ class PrefetchRTUnit(BaselineRTUnit):
                     st.done = True
                     st.chw = False
                     continue
-                tr = st.tr
+                cols = st.cols
                 p1 = p + 1
                 st.p = p1
-                chw = tr.curwork[p1]
+                chw = cols.curwork[p1]
                 st.chw = chw
-                lane_lines.append(tr.lines[p])
-                if tr.isleaf[p]:
+                lane_lines.append(cols.lines[p])
+                if cols.isleaf[p]:
                     leaves += 1
                     step_leaves += 1
-                    tests += tr.tests[p]
+                    tests += cols.tests[p]
                 else:
                     nodes += 1
-                if p1 == n and not chw and not tr.tail:
+                if p1 == n and not chw and not st.tail:
                     st.done = True
                 else:
                     nxt.append(ray)

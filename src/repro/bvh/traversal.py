@@ -29,14 +29,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.geometry.batch import (
-    intersect_aabb_batch,
-    intersect_gaussian_batch,
-    intersect_tri_batch,
-)
-
 _INV_CLAMP = 1e30
 _DET_EPS = 1e-12
 
@@ -215,8 +207,7 @@ def pop_next(bvh, state: RayTraversalState, in_treelet_only: bool = False):
     Returns ``(item, is_leaf, local_idx)`` or ``None`` under the same
     conditions :func:`single_step` returns ``None``.  This is the pop
     half of a step; callers must follow up with the expansion /
-    intersection half (``single_step`` does both, the warp batch path
-    pops every lane first and then intersects them in one kernel call).
+    intersection half, as :func:`single_step` does.
     """
     while True:
         if not state.current_stack:
@@ -233,36 +224,6 @@ def pop_next(bvh, state: RayTraversalState, in_treelet_only: bool = False):
             state.culled += 1
             continue
         return item, is_leaf, local_idx
-
-
-def pop_next_recording(bvh, state: RayTraversalState):
-    """:func:`pop_next` (TREELET order, non-treelet mode) that also reports
-    which treelets were entered along the way.
-
-    Returns ``(popped, chain)`` where ``popped`` is ``(item, is_leaf,
-    local_idx)`` or ``None`` when the ray retires, and ``chain`` is the
-    tuple of treelet ids :meth:`RayTraversalState.advance_treelet` entered
-    during this pop (usually empty).  The state tracer
-    (:func:`repro.gpusim.soa.trace_states`) uses the chain to replay the exact treelet
-    entry points later under the treelet-stationary policy units, where the
-    same advances happen through explicit ``enter_treelet`` calls.
-
-    Must mirror :func:`pop_next` exactly — any change to pop semantics has
-    to land in both.
-    """
-    chain = ()
-    while True:
-        if not state.current_stack:
-            nxt = state.advance_treelet()
-            if nxt is None:
-                return None, chain
-            chain += (nxt,)
-            continue
-        item, is_leaf, local_idx, entry_t = state.current_stack.pop()
-        if entry_t > state.t_hit:
-            state.culled += 1
-            continue
-        return (item, is_leaf, local_idx), chain
 
 
 def single_step(bvh, state: RayTraversalState, in_treelet_only: bool = False):
@@ -352,120 +313,6 @@ def _push_hits(state: RayTraversalState, hits) -> None:
     else:
         for near, item, is_leaf, local_idx, _child_treelet in hits:
             state.current_stack.append((item, is_leaf, local_idx, near))
-
-
-# Below these group sizes a numpy kernel call costs more than the lean
-# scalar loops (plain-float tables were designed for them), so the batch
-# helpers fall back per group.  The outputs are identical either way.
-BATCH_MIN_NODE_GROUPS = 16
-BATCH_MIN_LEAF_GROUPS = 16
-
-
-def expand_nodes_batch(bvh, groups: List[Tuple[RayTraversalState, int]]) -> None:
-    """Expand many (ray, node) pairs through one vectorized slab test.
-
-    ``groups`` pairs each ray's traversal state with the node it popped.
-    All children of all nodes are tested in a single
-    :func:`repro.geometry.batch.intersect_aabb_batch` call on the padded
-    ``(G, W, 6)`` table slice; the push order, culling and counters match
-    :func:`_expand_node` bit for bit.  Small batches take the scalar loop
-    (same results, less overhead).
-    """
-    if len(groups) < BATCH_MIN_NODE_GROUPS:
-        for state, node in groups:
-            state.nodes_visited += 1
-            _expand_node(bvh, state, node)
-        return
-    tables = bvh.batch_tables()
-    node_children = bvh.node_children
-    boxes = tables.node_boxes[[node for _, node in groups]]
-    rays = np.array(
-        [(s.ox, s.oy, s.oz, s.ix, s.iy, s.iz, s.tmin, s.t_hit) for s, _ in groups]
-    )
-    mask, near = intersect_aabb_batch(
-        rays[:, 0:3], rays[:, 3:6], boxes, rays[:, 6], rays[:, 7]
-    )
-    mask = mask.tolist()
-    near = near.tolist()
-    for g, (state, node) in enumerate(groups):
-        state.nodes_visited += 1
-        mask_row = mask[g]
-        near_row = near[g]
-        # Padding columns beyond the child count are never read: the
-        # enumeration runs over the true child list.
-        hits = [
-            (near_row[k], child[0], child[1], child[2], child[3])
-            for k, child in enumerate(node_children[node])
-            if mask_row[k]
-        ]
-        _push_hits(state, hits)
-
-
-def intersect_leaves_batch(
-    bvh, groups: List[Tuple[RayTraversalState, int]]
-) -> List[int]:
-    """Intersect many (ray, leaf) pairs through one vectorized MT test.
-
-    The kernel is closest-hit only, so a batch holding any state that
-    collects all hits takes the scalar loop, as does a small batch (same
-    results, less overhead).  Returns the per-group triangle test counts;
-    hit updates, tie-breaking and counters match :func:`_intersect_leaf`
-    bit for bit.
-    """
-    if len(groups) < BATCH_MIN_LEAF_GROUPS or any(
-        state.all_hits is not None for state, _ in groups
-    ):
-        counts = []
-        for state, leaf in groups:
-            state.leaf_visits += 1
-            tests = _intersect_leaf(bvh, state, leaf)
-            state.triangle_tests += tests
-            counts.append(tests)
-        return counts
-    tables = bvh.batch_tables()
-    leaf_tris = bvh.leaf_tris
-    indices = [leaf for _, leaf in groups]
-    rays = np.array(
-        [(s.ox, s.oy, s.oz, s.dx, s.dy, s.dz) for s, _ in groups]
-    )
-    if getattr(bvh, "prim_kind", "triangle") == "gaussian":
-        mask, t, _q = intersect_gaussian_batch(
-            rays[:, 0:3], rays[:, 3:6],
-            tables.leaf_gc[indices], tables.leaf_gm[indices],
-            tables.leaf_gq[indices],
-        )
-        prim_col = -1
-    else:
-        mask, t, _u, _v = intersect_tri_batch(
-            rays[:, 0:3], rays[:, 3:6],
-            tables.leaf_v0[indices], tables.leaf_e1[indices],
-            tables.leaf_e2[indices],
-        )
-        prim_col = 3
-    mask = mask.tolist()
-    t = t.tolist()
-    counts = []
-    for g, (state, leaf) in enumerate(groups):
-        tris = leaf_tris[leaf]
-        t_hit = state.t_hit
-        hit_prim = state.hit_prim
-        tmin = state.tmin
-        mask_row = mask[g]
-        t_row = t[g]
-        # Same scan order and strict-< update as the scalar loop, so the
-        # first primitive reaching the minimum distance keeps the hit.
-        for k in range(len(tris)):
-            if mask_row[k]:
-                tk = t_row[k]
-                if tmin <= tk < t_hit:
-                    t_hit = tk
-                    hit_prim = tris[k][prim_col]
-        state.t_hit = t_hit
-        state.hit_prim = hit_prim
-        state.leaf_visits += 1
-        state.triangle_tests += len(tris)
-        counts.append(len(tris))
-    return counts
 
 
 def _intersect_leaf(bvh, state: RayTraversalState, leaf: int) -> int:

@@ -4,7 +4,7 @@ Rendering has a shading/bounce loop; query workloads are simpler — a flat
 batch of independent "rays" (each a prepared traversal state) traced once,
 the RTNN / RTIndeX shape, which is one bounce of a render plan.  This
 driver traces the whole batch in one :func:`~repro.gpusim.soa.trace_states`
-call, packs the traces into warps, replays them through the chosen RT-unit
+call, packs the traced rays into warps, replays them through the chosen RT-unit
 engine, and reports cycles plus the usual statistics, so RTIndeX-style
 and point-in-mesh workloads can be compared across baseline / prefetch /
 VTQ exactly like rendering is.
@@ -69,8 +69,8 @@ def time_queries(
         raise ValueError(f"unknown policy {policy!r}")
 
     states = [state_factory(i) for i in range(num_queries)]
-    traces = trace_states(bvh, states)
-    rays = [SimRay(i, i, i // config.cta_threads, 0, ReplayState(traces[i]))
+    batch = trace_states(bvh, states)
+    rays = [SimRay(i, i, i // config.cta_threads, 0, ReplayState(batch, i))
             for i in range(num_queries)]
     for start in range(0, num_queries, config.warp_size):
         engine.submit(

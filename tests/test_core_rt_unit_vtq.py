@@ -26,13 +26,14 @@ def make_states(bvh, n, seed):
 
 
 def make_sim_rays(bvh, n, seed, cta=0, base_id=0, states=None):
-    """Rays replaying the traces of ``states`` (default: ``n`` random rays)
-    — what the policy units consume."""
+    """Rays replaying the traced batch of ``states`` (default: ``n``
+    random rays) — what the policy units consume."""
     if states is None:
         states = make_states(bvh, n, seed)
+    batch = trace_states(bvh, states)
     return [
-        SimRay(base_id + i, base_id + i, cta, 0, ReplayState(trace))
-        for i, trace in enumerate(trace_states(bvh, states))
+        SimRay(base_id + i, base_id + i, cta, 0, ReplayState(batch, i))
+        for i in range(len(states))
     ]
 
 

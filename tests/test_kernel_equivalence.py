@@ -1,9 +1,8 @@
 """Batch intersection kernels must be bit-identical to the scalar loops.
 
-The state tracer (:func:`repro.gpusim.soa.trace_states`) uses the
-vectorized kernels (:mod:`repro.geometry.batch` plus the ``*_batch``
-helpers in :mod:`repro.bvh.traversal`) where ``single_step`` advances
-one lane at a time, and the two must agree bit for bit, so the contract is
+The wave tracer (:func:`repro.gpusim.soa.trace_states`) uses the
+vectorized kernels of :mod:`repro.geometry.batch` where ``single_step``
+advances one ray at a time, and the two must agree bit for bit, so the contract is
 exact float equality — not approximate agreement.  These tests exercise the kernels
 property-style against scalar re-implementations and against the real
 traversal code on real BVHs, including the awkward inputs: axis-parallel
@@ -15,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.bvh import TraversalOrder, build_scene_bvh, init_traversal, single_step
+from repro.bvh import build_scene_bvh, init_traversal, single_step
 from repro.bvh import traversal as tv
 from repro.geometry import (
     intersect_aabb_batch,
@@ -24,6 +23,7 @@ from repro.geometry import (
     safe_inverse,
 )
 from repro.geometry.batch import DET_EPS, INV_CLAMP
+from repro.gpusim.soa import trace_states
 
 from tests.conftest import random_soup
 
@@ -454,116 +454,92 @@ def _rays_into(bvh, n, seed):
     return origins, directions
 
 
-def _drain(bvh, states, use_batch, min_groups):
-    """Run all states to completion, warp-step style."""
-    if use_batch:
-        original_nodes = tv.BATCH_MIN_NODE_GROUPS
-        original_leaves = tv.BATCH_MIN_LEAF_GROUPS
-        tv.BATCH_MIN_NODE_GROUPS = min_groups
-        tv.BATCH_MIN_LEAF_GROUPS = min_groups
-    try:
-        live = list(states)
-        while live:
-            if use_batch:
-                entries = []
-                for state in live:
-                    popped = tv.pop_next(bvh, state)
-                    if popped is not None:
-                        entries.append((state, popped))
-                node_groups = [
-                    (s, local) for s, (item, is_leaf, local) in entries if not is_leaf
-                ]
-                leaf_groups = [
-                    (s, local) for s, (item, is_leaf, local) in entries if is_leaf
-                ]
-                if node_groups:
-                    tv.expand_nodes_batch(bvh, node_groups)
-                if leaf_groups:
-                    tv.intersect_leaves_batch(bvh, leaf_groups)
-            else:
-                for state in live:
-                    single_step(bvh, state)
-            live = [s for s in live if not s.finished()]
-    finally:
-        if use_batch:
-            tv.BATCH_MIN_NODE_GROUPS = original_nodes
-            tv.BATCH_MIN_LEAF_GROUPS = original_leaves
+def _drain(bvh, states):
+    """Step every state to completion with the scalar ``single_step``."""
+    for state in states:
+        while single_step(bvh, state) is not None:
+            pass
 
 
-@pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
-@pytest.mark.parametrize("min_groups", [0, 1_000_000])
+def _trace(bvh, states, chunk):
+    """Trace ``states`` with the wave tracer, ``chunk`` rays per call (0:
+    one call for the whole batch)."""
+    size = chunk or len(states)
+    for begin in range(0, len(states), size):
+        trace_states(bvh, states[begin : begin + size])
+
+
+def _assert_same_results(scalar, traced):
+    for a, b in zip(scalar, traced):
+        assert a.all_hits == b.all_hits
+        assert a.t_hit == b.t_hit
+        assert a.hit_prim == b.hit_prim
+        assert a.nodes_visited == b.nodes_visited
+        assert a.leaf_visits == b.leaf_visits
+        assert a.triangle_tests == b.triangle_tests
+        assert a.culled == b.culled
+        assert b.finished()
+
+
+# ``chunk`` 0 traces every ray in one call (a render bounce or a query
+# batch); 16 traces them 16 at a time, the small waves of vkrt's
+# per-warp calls.
+CHUNKS = [0, 16]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
 class TestTraversalEquivalence:
-    """Full traversals agree exactly between ``single_step`` and the batch
-    helpers.
+    """Full traversals agree exactly between ``single_step`` and the wave
+    tracer, whose slab and Moller-Trumbore tests run through the batch
+    kernels."""
 
-    ``min_groups=0`` forces every group through the numpy kernels;
-    ``min_groups=1_000_000`` forces the scalar fallback inside the batch
-    helpers — both must equal the pure ``single_step`` reference.
-    """
-
-    def test_full_traversal_states_identical(self, kernel_bvh, order, min_groups):
+    def test_full_traversal_states_identical(self, kernel_bvh, chunk):
         n = 48
         origins, directions = _rays_into(kernel_bvh, n, seed=31)
 
         def fresh_states():
             return [
-                init_traversal(
-                    kernel_bvh, origins[i], directions[i], tmin=1e-4, order=order
-                )
+                init_traversal(kernel_bvh, origins[i], directions[i], tmin=1e-4)
                 for i in range(n)
             ]
 
         scalar = fresh_states()
-        batch = fresh_states()
-        _drain(kernel_bvh, scalar, use_batch=False, min_groups=0)
-        _drain(kernel_bvh, batch, use_batch=True, min_groups=min_groups)
-        for a, b in zip(scalar, batch):
-            assert a.t_hit == b.t_hit
-            assert a.hit_prim == b.hit_prim
-            assert a.nodes_visited == b.nodes_visited
-            assert a.leaf_visits == b.leaf_visits
-            assert a.triangle_tests == b.triangle_tests
-            assert a.culled == b.culled
+        traced = fresh_states()
+        _drain(kernel_bvh, scalar)
+        _trace(kernel_bvh, traced, chunk)
+        assert any(s.hit_prim >= 0 for s in scalar)
+        _assert_same_results(scalar, traced)
 
 
-@pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
-@pytest.mark.parametrize("min_groups", [0, 1_000_000])
+@pytest.mark.parametrize("chunk", CHUNKS)
 class TestGaussianTraversalEquivalence:
-    """Splat traversals agree exactly between ``single_step`` and the batch
-    helpers.
+    """Splat traversals agree exactly between ``single_step`` and the wave
+    tracer.
 
     Same contract as :class:`TestTraversalEquivalence`, over a BVH whose
     leaves hold gaussian rows instead of triangles — ``single_step``
-    dispatches ``_intersect_leaf_gaussian`` while the batch drain goes
-    through the gaussian branch of ``intersect_leaves_batch``.
+    dispatches ``_intersect_leaf_gaussian`` while the tracer goes through
+    ``intersect_gaussian_batch``.
     """
 
-    def test_full_traversal_states_identical(self, gaussian_bvh, order, min_groups):
+    def test_full_traversal_states_identical(self, gaussian_bvh, chunk):
         assert gaussian_bvh.prim_kind == "gaussian"
         n = 48
         origins, directions = _rays_into(gaussian_bvh, n, seed=47)
 
         def fresh_states():
             return [
-                init_traversal(
-                    gaussian_bvh, origins[i], directions[i], tmin=1e-4, order=order
-                )
+                init_traversal(gaussian_bvh, origins[i], directions[i], tmin=1e-4)
                 for i in range(n)
             ]
 
         scalar = fresh_states()
-        batch = fresh_states()
-        _drain(gaussian_bvh, scalar, use_batch=False, min_groups=0)
-        _drain(gaussian_bvh, batch, use_batch=True, min_groups=min_groups)
+        traced = fresh_states()
+        _drain(gaussian_bvh, scalar)
+        _trace(gaussian_bvh, traced, chunk)
         hit_count = sum(1 for s in scalar if s.hit_prim >= 0)
         assert hit_count > 0  # rays aimed at the splat cloud must hit it
-        for a, b in zip(scalar, batch):
-            assert a.t_hit == b.t_hit
-            assert a.hit_prim == b.hit_prim
-            assert a.nodes_visited == b.nodes_visited
-            assert a.leaf_visits == b.leaf_visits
-            assert a.triangle_tests == b.triangle_tests
-            assert a.culled == b.culled
+        _assert_same_results(scalar, traced)
 
 
 @functools.lru_cache(maxsize=None)
@@ -595,39 +571,15 @@ def _any_hit_workloads():
 
 
 @pytest.mark.parametrize("workload", ["range_index", "neighbor_index", "mesh_classifier"])
-@pytest.mark.parametrize("min_groups", [0, tv.BATCH_MIN_LEAF_GROUPS])
-def test_any_hit_states_keep_their_hits_in_batch(workload, min_groups):
-    """States collecting all hits take the scalar leaf kernel inside
-    ``intersect_leaves_batch``: no closest-hit pruning, every hit kept.
-
-    ``min_groups`` 0 sends every leaf wave to the batch path; the
-    production cutoff needs waves of at least 16 leaf groups, which 128
-    lock-stepped query rays reach.
-    """
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_any_hit_states_keep_their_hits_in_batch(workload, chunk):
+    """States collecting all hits keep every hit in the wave tracer's
+    leaf test: no closest-hit pruning, hits in scalar scan order."""
     bvh, make_state = _any_hit_workloads()[workload]
     n = 128
     scalar = [make_state(i) for i in range(n)]
-    batch = [make_state(i) for i in range(n)]
-    widest = []
-    original = tv.intersect_leaves_batch
-
-    def counting(bvh_, groups):
-        widest.append(len(groups))
-        return original(bvh_, groups)
-
-    tv.intersect_leaves_batch = counting
-    try:
-        _drain(bvh, scalar, use_batch=False, min_groups=0)
-        _drain(bvh, batch, use_batch=True, min_groups=min_groups)
-    finally:
-        tv.intersect_leaves_batch = original
-    assert max(widest) >= 16
+    traced = [make_state(i) for i in range(n)]
+    _drain(bvh, scalar)
+    _trace(bvh, traced, chunk)
     assert sum(len(s.all_hits) for s in scalar) > 0
-    for a, b in zip(scalar, batch):
-        assert a.all_hits == b.all_hits
-        assert a.t_hit == b.t_hit
-        assert a.hit_prim == b.hit_prim
-        assert a.nodes_visited == b.nodes_visited
-        assert a.leaf_visits == b.leaf_visits
-        assert a.triangle_tests == b.triangle_tests
-        assert a.culled == b.culled
+    _assert_same_results(scalar, traced)

@@ -147,7 +147,11 @@ class TestPipelineProperties:
                 states = [
                     init_traversal(bvh, origins[i], directions[i]) for i in range(16)
                 ]
-                lanes = states if live else map(ReplayState, trace_states(bvh, states))
+                if live:
+                    lanes = states
+                else:
+                    batch = trace_states(bvh, states)
+                    lanes = [ReplayState(batch, i) for i in range(len(states))]
                 rays = [SimRay(i, i, 0, 0, lane) for i, lane in enumerate(lanes)]
                 if engine_kind == "baseline":
                     engine = unit(bvh, config, mem, stats)

@@ -212,7 +212,7 @@ class TestRecording:
         setup = dataclasses.replace(ctx.setup, samples_per_pixel=2)
         scene, bvh = scene_and_bvh("GSPL1", ctx.setup)
         plan = get_plan(scene, bvh, setup)
-        secondary = [t.sort_key for (_slot, b), t in plan.traces.items() if b]
+        secondary = [key for batch in plan.batches[1:] for key in batch.sort_key.tolist()]
         assert secondary and len(set(secondary)) > 1
         _assert_identical(*_render_both(scene, bvh, setup, "sorted"))
 

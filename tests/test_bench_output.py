@@ -1,5 +1,5 @@
-"""The bench harness: report naming, the serial/parallel sweep legs and
-the surrogate-sweep phase."""
+"""The bench harness: report naming, the plan-build phase, the
+serial/parallel sweep legs and the surrogate-sweep phase."""
 
 import importlib.util
 from pathlib import Path
@@ -34,6 +34,23 @@ class TestDefaultOutputPath:
         (tmp_path / "BENCH_2026-08-05.json").write_text("{}")
         path = bench.default_output_path("2026-08-06", tmp_path)
         assert path == tmp_path / "BENCH_2026-08-06.json"
+
+
+class TestPlanBuildPhase:
+    def test_one_cold_build_per_scene(self):
+        """Each scene's plan is built ``reps`` times from a BVH without its
+        tracer tables, and the phase reports the spread."""
+        from repro.experiments.parallel import CaseSpec
+        from repro.experiments.runner import default_context
+
+        bench = _load_bench()
+        specs = [CaseSpec("BUNNY", "baseline"), CaseSpec("BUNNY", "vtq")]
+        row = bench.bench_plan_build(default_context(fast=True), specs, 2)
+        assert set(row) == {"per_scene", "reps", "total_s"}
+        assert list(row["per_scene"]) == ["BUNNY"]
+        scene = row["per_scene"]["BUNNY"]
+        assert 0 < scene["min_s"] <= scene["max_s"]
+        assert row["total_s"] == scene["min_s"]
 
 
 class TestSerialSweepPhase:

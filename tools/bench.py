@@ -6,6 +6,8 @@ Times a fixed sweep of fast-scene cases through four phases —
 * ``bvh_build``      — cold scene + BVH construction per scene,
 * ``kernel``         — render-plan intersection math, scalar loops vs
                        the vectorized batch kernels, at several batch sizes,
+* ``plan_build``     — one cold ``build_plan`` per scene (the wave tracer
+                       plus shading), best of ``--reps`` with min and max,
 * ``serial_sweep``   — the case list end-to-end in one process (plan
                        replay, render plans warm),
 * ``parallel_sweep`` — the same list through the parallel executor
@@ -51,6 +53,7 @@ import numpy as np  # noqa: E402
 from repro.experiments import runner  # noqa: E402
 from repro.experiments.parallel import CaseSpec, run_cases  # noqa: E402
 from repro.experiments.runner import ExperimentContext, default_context  # noqa: E402
+from repro.gpusim import soa  # noqa: E402
 from repro.geometry.batch import (  # noqa: E402
     intersect_aabb_batch,
     intersect_tri_batch,
@@ -216,6 +219,31 @@ def bench_kernels(reps=5):
             "speedup": scalar / batch if batch else 0.0,
         }
     return out
+
+
+def bench_plan_build(context, specs, reps):
+    """One cold render-plan build per distinct scene, best of ``reps``.
+
+    Scene and BVH come from the warm scene cache; the BVH's lazily built
+    tracer tables are dropped before every rep, so each build pays what
+    a fresh process pays after the BVH build.
+    """
+    scenes = list(dict.fromkeys(spec.scene for spec in specs))
+    per_scene = {}
+    for scene in scenes:
+        mesh_scene, bvh = runner.scene_and_bvh(scene, context.setup)
+        times = []
+        for _ in range(reps):
+            bvh.batch = None
+            start = time.perf_counter()
+            soa.build_plan(mesh_scene, bvh, context.setup)
+            times.append(time.perf_counter() - start)
+        per_scene[scene] = {"min_s": min(times), "max_s": max(times)}
+    return {
+        "per_scene": per_scene,
+        "reps": reps,
+        "total_s": sum(row["min_s"] for row in per_scene.values()),
+    }
 
 
 def bench_serial(context, specs, reps):
@@ -495,6 +523,10 @@ def main(argv=None):
     phases["kernel"] = bench_kernels()
     for name, row in phases["kernel"].items():
         print(f"  kernel {name}: {row['speedup']:.1f}x batch over scalar")
+    phases["plan_build"] = bench_plan_build(context, specs, args.reps)
+    for scene, row in phases["plan_build"]["per_scene"].items():
+        print(f"  plan_build {scene}: {row['min_s']:.3f}s "
+              f"(max {row['max_s']:.3f}s of {args.reps})")
     phases["serial_sweep"] = bench_serial(context, specs, args.reps)
     serial = phases["serial_sweep"]
     print(f"  serial_sweep: {serial['wall_s']:.2f}s "

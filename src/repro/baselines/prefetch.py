@@ -61,11 +61,16 @@ class PrefetchRTUnit(BaselineRTUnit):
         # never used.  Raising it makes the prefetcher conservative.
         self.min_votes = min_votes
         self._votes: Counter = Counter()
-        # line -> used?  for unused-prefetch accounting, per treelet
+        # treelet -> {line: used?} per outstanding prefetch, in issue order.
         self._outstanding: Dict[int, Dict[int, bool]] = {}
-        # line -> treelet (or None outside the BVH image): pure memo over
-        # the static layout, so repeated demand misses skip the bisect.
-        self._treelet_of_line: Dict[int, Optional[int]] = {}
+        self._issue_seq: Dict[int, int] = {}
+        self._issues = 0
+        # line -> the used-map of the outstanding treelet issued last that
+        # holds the line: the one _note_accesses marks.  Kept up to date on
+        # issue and settle (see _drop) rather than rebuilt per step.
+        self._holder: Dict[int, Dict[int, bool]] = {}
+        self._lines = bvh.line_treelets(config.line_bytes)
+        self._owner = self._lines.owner
         mem.l1_miss_hook = self._on_demand_miss
 
     # -- prefetch machinery ------------------------------------------------------
@@ -91,16 +96,10 @@ class PrefetchRTUnit(BaselineRTUnit):
     def _on_demand_miss(self, line: int) -> None:
         """A BVH demand miss: prefetch its treelet if it is popular."""
         try:
-            treelet = self._treelet_of_line[line]
-        except KeyError:
-            try:
-                treelet = self.bvh.layout.treelet_of_address(
-                    line * self.config.line_bytes
-                )
-            except ValueError:  # pragma: no cover - access outside BVH image
-                treelet = None
-            self._treelet_of_line[line] = treelet
-        if treelet is None:  # pragma: no cover - access outside BVH image
+            treelet = self._owner[line]
+        except IndexError:  # pragma: no cover - access past the BVH image
+            return
+        if treelet is None:  # pragma: no cover - access before the BVH image
             return
         if treelet in self._outstanding:
             return  # already prefetched and still being tracked
@@ -110,13 +109,44 @@ class PrefetchRTUnit(BaselineRTUnit):
 
     def _issue_prefetch(self, treelet: int) -> None:
         """Install the treelet's lines; account traffic and unused lines."""
-        lines = self.bvh.treelet_lines[treelet]
-        new_lines = [line for line in lines if not self.mem.l1.contains(line)]
-        self.mem.l1.insert_many(new_lines)
+        l1 = self.mem.l1
+        new_lines = l1.absent(self.bvh.treelet_lines[treelet])
+        l1.insert_many(new_lines)
         self.stats.prefetch_lines += len(new_lines)
         self.stats.traffic_bytes["prefetch"] += len(new_lines) * self.config.line_bytes
         self.stats.traffic_bytes["dram"] += len(new_lines) * self.config.line_bytes
-        self._outstanding[treelet] = {line: False for line in new_lines}
+        if treelet in self._outstanding:
+            self._drop(treelet)  # a re-issue replaces the record, uncounted
+        used = dict.fromkeys(new_lines, False)
+        self._outstanding[treelet] = used
+        self._issues += 1
+        self._issue_seq[treelet] = self._issues
+        # Issued last, this treelet now holds every one of its lines.
+        self._holder.update(dict.fromkeys(new_lines, used))
+
+    def _drop(self, treelet: int) -> Dict[int, bool]:
+        """Stop tracking an outstanding treelet; returns its used-map.
+
+        Each line it held passes to the remaining outstanding treelet
+        issued last that also holds it.  Only a line two treelets share
+        can have such a fallback.
+        """
+        outstanding = self._outstanding
+        used = outstanding.pop(treelet)
+        del self._issue_seq[treelet]
+        holder = self._holder
+        shared = self._lines.shared
+        for line in used:
+            owners = shared.get(line)
+            if owners is None:
+                del holder[line]
+            elif holder.get(line) is used:
+                others = [t for t in owners if line in outstanding.get(t, ())]
+                if others:
+                    holder[line] = outstanding[max(others, key=self._issue_seq.get)]
+                else:
+                    del holder[line]
+        return used
 
     def _settle_outstanding(self, keep: Optional[Set[int]] = None) -> None:
         """Close out used/unused accounting for stale prefetches."""
@@ -124,26 +154,26 @@ class PrefetchRTUnit(BaselineRTUnit):
         for treelet in list(self._outstanding):
             if treelet in keep:
                 continue
-            for line, used in self._outstanding.pop(treelet).items():
-                if not used:
-                    self.stats.prefetch_unused_lines += 1
+            used = self._drop(treelet)
+            self.stats.prefetch_unused_lines += len(used) - sum(used.values())
 
     def _note_accesses(self, rays: List[SimRay]) -> None:
         """Mark prefetched lines as used when a ray is about to touch them."""
-        if not self._outstanding:
+        holder = self._holder
+        if not holder:
             return
-        flat = {}
-        for per_treelet in self._outstanding.values():
-            flat.update(dict.fromkeys(per_treelet, per_treelet))
+        item_lines = self.bvh.item_lines
         for ray in rays:
             state = ray.state
-            if state.finished() or not state.current_stack:
+            if state.finished():
                 continue
-            item = state.current_stack[-1][0]
-            for line in self.bvh.item_lines[item]:
-                holder = flat.get(line)
-                if holder is not None:
-                    holder[line] = True
+            stack = state.current_stack
+            if not stack:
+                continue
+            for line in item_lines[stack[-1][0]]:
+                used = holder.get(line)
+                if used is not None:
+                    used[line] = True
 
     def _note_candidate_lines(self, rays: List[SimRay]) -> List[int]:
         """The lines :meth:`_note_accesses` would consider for ``rays``.

@@ -108,7 +108,11 @@ class BVHLayout:
         return range(start // line, (end + line - 1) // line)
 
     def treelet_of_address(self, address: int) -> int:
-        """Treelet id owning byte ``address`` (used by prefetch logic)."""
+        """Treelet id owning byte ``address``.
+
+        The per-address definition behind the prefetcher's per-line
+        table (:class:`repro.bvh.scene_bvh.LineTreelets`).
+        """
         idx = int(np.searchsorted(self.treelet_base, address, side="right")) - 1
         if idx < 0 or address >= self.treelet_base[idx] + self.treelet_sizes[idx]:
             raise ValueError(f"address {address} outside the BVH image")

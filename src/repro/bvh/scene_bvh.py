@@ -16,13 +16,16 @@ The precomputed tables are:
     tuple of cache-line ids covering the item's serialized bytes.
 ``treelet_of_item[item]`` / ``item_address[item]``
     from the partition / layout.
+
+``line_treelets(line_bytes)`` adds the treelet prefetcher's static
+line tables (:class:`LineTreelets`), built once per BVH and line size.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,6 +122,44 @@ class BatchTables:
             self.chain_table[treelet] = (self.int_table[treelet + 1],)
 
 
+class LineTreelets:
+    """Static line -> treelet tables of one BVH image at one line size.
+
+    ``owner[line]`` is the treelet whose bytes hold the line's first
+    byte (``layout.treelet_of_address(line * line_bytes)``), or ``None``
+    for a line before the image; lines past its end are past the list.
+    ``shared`` maps every line that more than one treelet's
+    ``treelet_lines`` contain (a line straddling a treelet boundary) to
+    those treelets, ascending.  Both depend only on the layout, so one
+    instance serves every SM and every case.
+    """
+
+    __slots__ = ("owner", "shared")
+
+    def __init__(self, layout: BVHLayout, treelet_lines, line_bytes: int):
+        end = layout.config.base_address + layout.total_bytes
+        address = np.arange((end + line_bytes - 1) // line_bytes, dtype=np.int64)
+        address *= line_bytes
+        base = layout.treelet_base
+        idx = np.searchsorted(base, address, side="right") - 1
+        inside = idx >= 0
+        safe = np.maximum(idx, 0)
+        inside &= address < base[safe] + layout.treelet_sizes[safe]
+        # One shared int object per treelet (and None at index -1), so
+        # the table costs a pointer per line.
+        ids = np.array(list(range(len(base))) + [None], dtype=object)
+        self.owner: List[Optional[int]] = ids[np.where(inside, idx, -1)].tolist()
+        holders: Dict[int, List[int]] = {}
+        for treelet, lines in enumerate(treelet_lines):
+            # Interior lines lie inside the treelet's own bytes, so only
+            # its first and last lines can belong to another treelet too.
+            for line in {lines[0], lines[-1]} if lines else ():
+                holders.setdefault(line, []).append(treelet)
+        self.shared: Dict[int, Tuple[int, ...]] = {
+            line: tuple(ts) for line, ts in holders.items() if len(ts) > 1
+        }
+
+
 @dataclass
 class SceneBVH:
     """Acceleration structure plus all tables the simulators need."""
@@ -139,6 +180,10 @@ class SceneBVH:
     # m12, m22, qmax, prim)).  Traversal and the leaf-cost model
     # dispatch on this.
     prim_kind: str = "triangle"
+    # LineTreelets per line size, built on first use (line_treelets()).
+    line_tables: Dict[int, LineTreelets] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:
@@ -178,6 +223,14 @@ class SceneBVH:
                 self.treelet_count, self.prim_kind,
             )
         return self.batch
+
+    def line_treelets(self, line_bytes: int) -> LineTreelets:
+        """The prefetcher's static line tables at ``line_bytes``."""
+        tables = self.line_tables.get(line_bytes)
+        if tables is None:
+            tables = LineTreelets(self.layout, self.treelet_lines, line_bytes)
+            self.line_tables[line_bytes] = tables
+        return tables
 
     def summary(self) -> dict:
         """Scene statistics in the shape of the paper's Table 2 rows."""

@@ -138,13 +138,6 @@ class VTQRTUnit:
         self._initial_phase(rays, cb)
         return True
 
-    def _position_treelet(self, ray: SimRay) -> Optional[int]:
-        """The treelet a ray is currently in / will enter next."""
-        state = ray.state
-        if state.has_current_work():
-            return state.current_treelet
-        return state.next_treelet()
-
     def _initial_phase(self, rays: List[SimRay], cb: RayCallback) -> None:
         """Ray-stationary traversal of an arriving warp until it diverges."""
         phase_start = self.cycle
@@ -169,7 +162,6 @@ class VTQRTUnit:
         mode = TraversalMode.INITIAL_RAY_STATIONARY
         warp_size = config.warp_size
         divergence = self.vtq.divergence_threshold
-        position = self._position_treelet
         mode_c = stats.mode_cycles.get(mode, 0.0)
         mode_t = stats.mode_tests.get(mode, 0)
         simt_sum = stats.simt_active_sum
@@ -181,7 +173,7 @@ class VTQRTUnit:
         gaussian = getattr(self.bvh, "prim_kind", "triangle") == "gaussian"
         cycle = self.cycle
         while active:
-            treelets = {position(r) for r in active}
+            treelets = {r.state.position_treelet() for r in active}
             treelets.discard(None)
             if len(treelets) > divergence:
                 break
@@ -249,7 +241,7 @@ class VTQRTUnit:
         # Terminate the warp: write surviving rays to the treelet queues.
         self.cycle = cycle
         for ray in active:
-            treelet = position(ray)
+            treelet = ray.state.position_treelet()
             if treelet is None:  # pragma: no cover - finished rays swept above
                 self._complete(ray, cb)
             else:

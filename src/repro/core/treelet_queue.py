@@ -7,8 +7,15 @@ smallest queue, whose rays are processed in ray-stationary mode later.
 
 ``TreeletQueueTable`` lives in the L1 cache and stores the actual ray ids
 per treelet in 32-ray entries (Figure 9); duplicate treelet entries are
-allowed when a queue exceeds 32 rays, and entries beyond the table's
-capacity spill to memory (charged when those rays are fetched).
+allowed when a queue exceeds 32 rays.  Entries beyond the table's
+capacity spill to memory; the model counts each such push
+(``queue_table_overflows``) but charges it no cycles or traffic.
+
+Both tables keep running tallies (the count total, the occupied-entry
+count), so a push or pop does not rescan every queue, as the fixed
+hardware tables need not.  ``entries_used()`` and a sum over
+``counts``, recomputed from scratch, remain the specification those
+tallies are held to.
 
 ``TreeletQueues`` is the facade the RT unit uses: it keeps both tables
 coherent and provides the operations the controller state machine needs.
@@ -38,6 +45,7 @@ class TreeletCountTable:
         self.counts: "OrderedDict[int, int]" = OrderedDict()
         self.peak_entries = 0
         self.evictions = 0
+        self._total = 0
 
     def increment(self, treelet: int, amount: int = 1) -> Optional[int]:
         """Add rays to a treelet's count.
@@ -46,24 +54,29 @@ class TreeletCountTable:
         smallest count), or ``None``.  The caller must reroute the evicted
         treelet's rays to ray-stationary processing.
         """
+        self._total += amount
         if treelet in self.counts:
             self.counts[treelet] += amount
             return None
         evicted = None
         if len(self.counts) >= self.capacity:
             evicted = min(self.counts, key=self.counts.get)
-            del self.counts[evicted]
+            self._total -= self.counts.pop(evicted)
             self.evictions += 1
         self.counts[treelet] = amount
         self.peak_entries = max(self.peak_entries, len(self.counts))
         return evicted
 
     def decrement(self, treelet: int, amount: int = 1) -> None:
-        if treelet not in self.counts:
+        count = self.counts.get(treelet)
+        if count is None:
             raise KeyError(f"treelet {treelet} not tracked")
-        self.counts[treelet] -= amount
-        if self.counts[treelet] <= 0:
+        if count <= amount:
             del self.counts[treelet]
+            self._total -= count
+        else:
+            self.counts[treelet] = count - amount
+            self._total -= amount
 
     def largest(self) -> Tuple[Optional[int], int]:
         """``(treelet, count)`` of the fullest queue; ``(None, 0)`` if empty."""
@@ -77,7 +90,8 @@ class TreeletCountTable:
         return list(self.counts.keys())
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        """Rays counted over all entries (a running sum)."""
+        return self._total
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -97,6 +111,8 @@ class TreeletQueueTable:
         self.queues: Dict[int, List] = {}
         self.peak_entries = 0
         self.overflow_events = 0
+        # entries_used(), kept up to date by push and pop_front.
+        self._used = 0
 
     def entries_used(self) -> int:
         """Occupied table entries: ceil(len/32) per queue, as in Figure 9."""
@@ -105,11 +121,16 @@ class TreeletQueueTable:
 
     def push(self, treelet: int, ray) -> bool:
         """Append a ray id; returns False when the entry spilled to memory."""
-        queue = self.queues.setdefault(treelet, [])
+        queue = self.queues.get(treelet)
+        if queue is None:
+            queue = self.queues[treelet] = []
+        if len(queue) % self.rays_per_entry == 0:
+            # The ray opens a new entry: the last one (if any) is full.
+            self._used += 1
+            if self._used > self.peak_entries:
+                self.peak_entries = self._used
         queue.append(ray)
-        used = self.entries_used()
-        self.peak_entries = max(self.peak_entries, used)
-        if used > self.capacity_entries:
+        if self._used > self.capacity_entries:
             self.overflow_events += 1
             return False
         return True
@@ -119,12 +140,15 @@ class TreeletQueueTable:
         queue = self.queues.get(treelet)
         if not queue:
             return []
-        taken = queue[:count]
-        remaining = queue[count:]
-        if remaining:
-            self.queues[treelet] = remaining
-        else:
+        per = self.rays_per_entry
+        before = (len(queue) + per - 1) // per
+        if count >= len(queue):
             del self.queues[treelet]
+            self._used -= before
+            return queue
+        taken = queue[:count]
+        del queue[:count]  # shifted in place, not copied to a new list
+        self._used -= before - (len(queue) + per - 1) // per
         return taken
 
     def queue_length(self, treelet: int) -> int:
@@ -192,15 +216,19 @@ class TreeletQueues:
         first count-table entry.
         """
         out: List = []
-        if self.stray:
-            take = min(count, len(self.stray))
-            out.extend(self.stray[:take])
-            self.stray = self.stray[take:]
+        stray = self.stray
+        if stray:
+            take = min(count, len(stray))
+            out.extend(stray[:take])
+            del stray[:take]  # shifted in place, not copied to a new list
             self.stats.treelet_queue_pops += take
+        counts = self.count_table.counts
         while len(out) < count:
             remaining = count - len(out)
             drained = False
-            for treelet in self.count_table.first_entries():
+            # Iterating the live table is safe: the loop leaves right
+            # after the one pop that can delete an entry.
+            for treelet in counts:
                 rays = self.pop_warp(treelet, remaining)
                 if rays:
                     out.extend(rays)

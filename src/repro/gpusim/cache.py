@@ -8,7 +8,7 @@ only ask the cache "would this access hit?".
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 class Cache:
@@ -26,6 +26,14 @@ class Cache:
         Capacity carved out for a reserved region (the paper reserves part
         of the L2 for ray data); reserved capacity is unavailable to
         normal allocations.
+
+    Set layout: ``_sets`` maps a set index (``line % num_sets``) to an
+    ``OrderedDict`` of resident line id -> ``True`` in LRU order (oldest
+    first), created on first use.  The memory system's batched paths
+    (:mod:`repro.gpusim.memory`) read and update these sets directly,
+    keeping ``accesses``/``hits``/``insertions``/``evictions`` exactly as
+    the per-line methods here would, so that layout is a contract
+    between the two modules.
     """
 
     def __init__(
@@ -69,18 +77,6 @@ class Cache:
             self._sets[idx] = s
         return s
 
-    def set_of(self, line: int) -> OrderedDict:
-        """The (lazily created) LRU set holding ``line``.
-
-        Public so the batched access path
-        (:meth:`repro.gpusim.memory.MemorySystem.access_lines_batch`) can
-        operate on sets directly and amortize per-line method-call
-        overhead; the set layout (an ``OrderedDict`` in LRU order, line id
-        -> True, indexed by ``line % num_sets``) is a stable contract
-        between the two modules.
-        """
-        return self._set_of(line)
-
     def lookup(self, line: int) -> bool:
         """Non-allocating probe: hit updates LRU order, miss changes nothing."""
         self.accesses += 1
@@ -119,6 +115,19 @@ class Cache:
         """Residence check without touching statistics or LRU order."""
         return line in self._set_of(line)
 
+    def absent(self, lines: Iterable[int]) -> List[int]:
+        """The lines of ``lines`` not resident, in order.
+
+        One probe pass over the sets, like :meth:`contains` per line:
+        statistics and LRU order are untouched.
+        """
+        sets = self._sets
+        if self.num_sets == 1:
+            s = sets.get(0, ())
+            return [line for line in lines if line not in s]
+        num_sets = self.num_sets
+        return [line for line in lines if line not in sets.get(line % num_sets, ())]
+
     def invalidate(self, line: int) -> bool:
         """Drop a line; True if it was resident."""
         s = self._set_of(line)
@@ -135,6 +144,31 @@ class Cache:
 
     def insert_many(self, lines: Iterable[int]) -> int:
         """Install many lines (burst fill); returns how many were new."""
+        if self.num_sets == 1:
+            # Fully associative (the default L1): one set.
+            s = self._set_of(0)
+            lines = list(lines)
+            burst = dict.fromkeys(lines, True)
+            if len(burst) == len(lines) and s.keys().isdisjoint(burst):
+                # Distinct lines, none resident (a treelet burst): the
+                # per-line loop below would evict one line per insertion
+                # past capacity, oldest first, so evict in bulk instead.
+                new = len(burst)
+                excess = len(s) + new - self.assoc
+                if excess > 0:
+                    self.evictions += excess
+                    if new >= self.assoc:
+                        # The burst alone fills the set; only its last
+                        # ``assoc`` lines survive.
+                        s.clear()
+                        burst = dict.fromkeys(lines[new - self.assoc:], True)
+                    else:
+                        popitem = s.popitem
+                        for _ in range(excess):
+                            popitem(last=False)
+                s.update(burst)
+                self.insertions += new
+                return new
         new = 0
         for line in lines:
             s = self._set_of(line)

@@ -38,6 +38,10 @@ class AccessKind(enum.Enum):
     QUEUE_TABLE = "queue_table"
 
 
+_L2_BVH = ("l2", AccessKind.BVH.value)
+_L2_RAY_DATA = ("l2", AccessKind.RAY_DATA.value)
+
+
 class MemorySystem:
     """One SM's view of the memory hierarchy."""
 
@@ -67,6 +71,12 @@ class MemorySystem:
             self.dram = DRAMModel(config)
         else:
             self.dram = None
+        # Ray-data pricing constants (GPUConfig is frozen).
+        self._ray_capacity = ray_data_reserve_bytes(config) // config.ray_record_bytes
+        self._ray_slots = max(config.max_virtual_rays_per_sm, 1)
+        self._ray_bytes = config.ray_record_bytes
+        self._l2_lat = float(config.l2_latency)
+        self._dram_lat = float(config.dram_latency)
 
     def _dram_latency(self, line: int, cycle: float) -> float:
         if self.dram is not None:
@@ -329,18 +339,16 @@ class MemorySystem:
         in the reserve when its slot index fits the reserved capacity, and
         spills to DRAM otherwise ("also stored in memory if evicted").
         """
-        config = self.config
-        reserve_bytes = ray_data_reserve_bytes(config)
-        capacity = reserve_bytes // config.ray_record_bytes
-        self.stats.traffic_bytes["ray_data"] += config.ray_record_bytes
-        slot = ray_id % max(config.max_virtual_rays_per_sm, 1)
-        if slot < capacity:
-            self.stats.record_cache("l2", AccessKind.RAY_DATA.value, True)
-            return float(config.l2_latency)
-        self.stats.record_cache("l2", AccessKind.RAY_DATA.value, False)
-        self.stats.dram_accesses[AccessKind.RAY_DATA.value] += 1
-        self.stats.traffic_bytes["dram"] += config.ray_record_bytes
-        return float(config.dram_latency)
+        stats = self.stats
+        record = self._ray_bytes
+        stats.traffic_bytes["ray_data"] += record
+        stats.cache_accesses[_L2_RAY_DATA] += 1
+        if ray_id % self._ray_slots < self._ray_capacity:
+            stats.cache_hits[_L2_RAY_DATA] += 1
+            return self._l2_lat
+        stats.dram_accesses["ray_data"] += 1
+        stats.traffic_bytes["dram"] += record
+        return self._dram_lat
 
     # -- bursts ------------------------------------------------------------------
 
@@ -352,24 +360,51 @@ class MemorySystem:
         in the L2 cost an L2 round trip instead.
         """
         config = self.config
-        missing = [line for line in lines if not self.l1.contains(line)]
+        l1 = self.l1
+        l2 = self.l2
+        missing = l1.absent(lines)
         if not missing:
             return 0.0
-        any_dram = False
+        # One fused L2 pass: each line's probe is followed at once by its
+        # fill on a miss, the order the per-line lookup/insert calls made.
+        sets2 = l2._sets
+        n2 = l2.num_sets
+        assoc2 = l2.assoc
+        hits = 0
+        evictions = 0
         for line in missing:
-            if self.l2.lookup(line):
-                self.stats.record_cache("l2", AccessKind.BVH.value, True)
+            idx = line % n2
+            s2 = sets2.get(idx)
+            if s2 is None:
+                s2 = sets2[idx] = OrderedDict()
+            if line in s2:
+                s2.move_to_end(line)
+                hits += 1
             else:
-                self.stats.record_cache("l2", AccessKind.BVH.value, False)
-                self.l2.insert(line)
-                self.stats.dram_accesses[AccessKind.BVH.value] += 1
-                self.stats.traffic_bytes["dram"] += config.line_bytes
-                any_dram = True
-        self.l1.insert_many(missing)
-        self.stats.traffic_bytes["l2_to_l1"] += config.line_bytes * len(missing)
-        self.stats.treelet_fetch_lines += len(missing)
-        base = config.dram_latency if any_dram else config.l2_latency
-        return float(base + config.dram_line_transfer * len(missing))
+                if len(s2) >= assoc2:
+                    s2.popitem(last=False)
+                    evictions += 1
+                s2[line] = True
+        count = len(missing)
+        fills = count - hits
+        l2.accesses += count
+        l2.hits += hits
+        l2.insertions += fills
+        l2.evictions += evictions
+        l1.insert_many(missing)
+        # Presence-exact commit (see StatsFold): a key is touched only
+        # when the per-line path would have touched it.
+        stats = self.stats
+        stats.cache_accesses[_L2_BVH] += count
+        if hits:
+            stats.cache_hits[_L2_BVH] += hits
+        if fills:
+            stats.dram_accesses["bvh"] += fills
+            stats.traffic_bytes["dram"] += config.line_bytes * fills
+        stats.traffic_bytes["l2_to_l1"] += config.line_bytes * count
+        stats.treelet_fetch_lines += count
+        base = config.dram_latency if fills else config.l2_latency
+        return float(base + config.dram_line_transfer * count)
 
     def cta_state_transfer(self, num_bytes: int) -> float:
         """Stream a CTA's saved state to or from DRAM (Section 4.1).

@@ -190,7 +190,8 @@ class ReplayState:
 
     Duck-types the slice of ``RayTraversalState`` the policy units read
     — ``finished() / has_current_work() / current_treelet /
-    next_treelet() / enter_treelet() / current_stack``.  The units
+    next_treelet() / enter_treelet() / current_stack`` — plus
+    ``position_treelet()``, the VTQ unit's queue key.  The units
     advance it with two pops, inlined in their hot loops:
 
     * the *ray-stationary* pop consumes visit row ``p`` (``p += 1``,
@@ -266,6 +267,14 @@ class ReplayState:
     @property
     def sort_key(self) -> int:
         return self.cols.sort_key[self.row]
+
+    def position_treelet(self) -> Optional[int]:
+        """The treelet the ray works in now, else the one it enters next:
+        the queue a VTQ unit files it under, in one call."""
+        if self.chw:
+            ctre = self._ctre
+            return self.cols.cur_tre[self.p] if ctre is None else ctre
+        return self.next_treelet()
 
     def next_treelet(self) -> Optional[int]:
         p = self.p

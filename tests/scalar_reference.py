@@ -504,6 +504,13 @@ class ScalarVTQRTUnit(VTQRTUnit):
     """The VTQ unit stepping live lanes; the scheduler, queue tables and
     CTA bookkeeping are the production unit's."""
 
+    def _position_treelet(self, ray: SimRay) -> Optional[int]:
+        """The treelet a ray is currently in / will enter next."""
+        state = ray.state
+        if state.has_current_work():
+            return state.current_treelet
+        return state.next_treelet()
+
     def _initial_phase(self, rays: List[SimRay], cb: RayCallback) -> None:
         """Ray-stationary traversal of an arriving warp until it diverges."""
         phase_start = self.cycle

@@ -1,5 +1,5 @@
-"""The bench harness: report naming, the plan-build phase, the
-serial/parallel sweep legs and the surrogate-sweep phase."""
+"""The bench harness: report naming, the plan-build and policy-replay
+phases, the serial/parallel sweep legs and the surrogate-sweep phase."""
 
 import importlib.util
 from pathlib import Path
@@ -51,6 +51,29 @@ class TestPlanBuildPhase:
         scene = row["per_scene"]["BUNNY"]
         assert 0 < scene["min_s"] <= scene["max_s"]
         assert row["total_s"] == scene["min_s"]
+
+
+class TestPolicyReplayPhase:
+    def test_every_policy_per_scene(self):
+        """One row per scene: each replay's spread over ``reps`` runs and
+        the two ratios against ``baseline``."""
+        from repro.experiments.parallel import CaseSpec
+        from repro.experiments.runner import default_context
+
+        bench = _load_bench()
+        specs = [CaseSpec("BUNNY", "baseline"), CaseSpec("BUNNY", "vtq")]
+        row = bench.bench_policy_replay(default_context(fast=True), specs, 2)
+        assert set(row) == {"per_scene", "reps"}
+        assert list(row["per_scene"]) == ["BUNNY"]
+        scene = row["per_scene"]["BUNNY"]
+        assert set(scene["replay"]) == {"baseline", "prefetch", "vtq", "vtq_naive"}
+        for times in scene["replay"].values():
+            assert 0 < times["min_s"] <= times["max_s"]
+        base = scene["replay"]["baseline"]["min_s"]
+        assert scene["ratio"] == {
+            "prefetch/baseline": scene["replay"]["prefetch"]["min_s"] / base,
+            "vtq/baseline": scene["replay"]["vtq"]["min_s"] / base,
+        }
 
 
 class TestSerialSweepPhase:

@@ -144,3 +144,36 @@ class TestCompressedLayout:
         small = compressed_layout_config(CompressedLeafCodec(bits=8))
         large = compressed_layout_config(CompressedLeafCodec(bits=16))
         assert small.triangle_bytes < large.triangle_bytes
+
+
+class TestLineTreelets:
+    """The prefetcher's static line tables against the layout's own
+    per-address lookup and the treelets' line ranges."""
+
+    @pytest.mark.parametrize("base_address", [0, 4096 + 16])
+    @pytest.mark.parametrize("line_bytes", [32, 64])
+    def test_tables_match_the_layout(self, base_address, line_bytes):
+        from repro.bvh.scene_bvh import LineTreelets
+
+        wide = collapse_to_wide(build_binary_bvh(random_soup(200, seed=5)), 4)
+        part = partition_treelets(wide, budget_bytes=1024)
+        layout = build_layout(
+            wide, part, LayoutConfig(line_bytes=line_bytes, base_address=base_address)
+        )
+        treelet_lines = [tuple(layout.treelet_lines(t)) for t in range(part.treelet_count)]
+        tables = LineTreelets(layout, treelet_lines, line_bytes)
+        last = (base_address + layout.total_bytes) // line_bytes + 3
+        for line in range(last):
+            try:
+                expected = layout.treelet_of_address(line * line_bytes)
+            except ValueError:
+                expected = None
+            got = tables.owner[line] if line < len(tables.owner) else None
+            assert got == expected, line
+        holders = {}
+        for treelet, lines in enumerate(treelet_lines):
+            for line in lines:
+                holders.setdefault(line, []).append(treelet)
+        shared = {line: tuple(ts) for line, ts in holders.items() if len(ts) > 1}
+        assert tables.shared == shared
+        assert shared  # 1 KB treelets of an unaligned image share lines

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core import TreeletCountTable, TreeletQueueTable, TreeletQueues, area_overheads
 from repro.core.config import VTQConfig
@@ -159,6 +160,136 @@ class TestTreeletQueues:
                 q.push(treelet, FakeRay(pushed))
                 pushed += 1
         assert q.total_rays() == pushed - popped
+
+
+class QueueModel:
+    """A plain model of ``TreeletQueues`` that keeps no running state.
+
+    Treelets sit in a list in count-table insertion order, each with its
+    FIFO list of rays; every derived quantity (counts, occupied entries,
+    the largest queue, the eviction victim) is recomputed from those
+    lists whenever it is needed.
+    """
+
+    def __init__(self, count_entries, queue_entries, rays_per_entry):
+        self.count_entries = count_entries
+        self.queue_entries = queue_entries
+        self.rays_per_entry = rays_per_entry
+        self.order = []  # treelets, oldest count-table entry first
+        self.rays = {}  # treelet -> queued rays, oldest first
+        self.stray = []
+        self.peak_entries = 0
+        self.overflows = 0
+        self.evictions = 0
+
+    def entries(self):
+        per = self.rays_per_entry
+        return sum(-(-len(self.rays[t]) // per) for t in self.order)
+
+    def largest(self):
+        if not self.order:
+            return None, 0
+        counts = [len(self.rays[t]) for t in self.order]
+        best = max(counts)
+        return self.order[counts.index(best)], best
+
+    def total_rays(self):
+        return sum(len(self.rays[t]) for t in self.order) + len(self.stray)
+
+    def push(self, treelet, ray):
+        if treelet not in self.rays:
+            if len(self.order) >= self.count_entries:
+                counts = [len(self.rays[t]) for t in self.order]
+                victim = self.order[counts.index(min(counts))]
+                self.order.remove(victim)
+                self.stray.extend(self.rays.pop(victim))
+                self.evictions += 1
+            self.order.append(treelet)
+            self.rays[treelet] = []
+        self.rays[treelet].append(ray)
+        used = self.entries()
+        self.peak_entries = max(self.peak_entries, used)
+        if used > self.queue_entries:
+            self.overflows += 1
+
+    def pop_warp(self, treelet, count):
+        queue = self.rays.get(treelet, [])
+        taken, rest = queue[:count], queue[count:]
+        if rest:
+            self.rays[treelet] = rest
+        elif treelet in self.rays:
+            del self.rays[treelet]
+            self.order.remove(treelet)
+        return taken
+
+    def pop_any(self, count):
+        out, self.stray = self.stray[:count], self.stray[count:]
+        while len(out) < count and self.order:
+            out += self.pop_warp(self.order[0], count - len(out))
+        return out
+
+
+class QueuesMachine(RuleBasedStateMachine):
+    """Random push / pop_warp / pop_any against :class:`QueueModel`.
+
+    Capacities are tiny, so count-table evictions and queue-table
+    overflows both happen; every counter the tables keep running is
+    compared with the model's from-scratch value after each operation.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.queues = None
+        self.next_ray = 0
+
+    @initialize(count_entries=st.integers(1, 4), queue_entries=st.integers(1, 5),
+                rays_per_entry=st.integers(1, 3))
+    def make(self, count_entries, queue_entries, rays_per_entry):
+        config = VTQConfig(
+            count_table_entries=count_entries,
+            queue_table_entries=queue_entries,
+            rays_per_queue_entry=rays_per_entry,
+        )
+        self.stats = SimStats()
+        self.queues = TreeletQueues(config, self.stats)
+        self.model = QueueModel(count_entries, queue_entries, rays_per_entry)
+
+    @rule(treelet=st.integers(0, 5))
+    def push(self, treelet):
+        ray = FakeRay(self.next_ray)
+        self.next_ray += 1
+        self.queues.push(treelet, ray)
+        self.model.push(treelet, ray)
+
+    @rule(treelet=st.integers(0, 5), count=st.integers(1, 5))
+    def pop_warp(self, treelet, count):
+        got = self.queues.pop_warp(treelet, count)
+        assert got == self.model.pop_warp(treelet, count)
+
+    @rule(count=st.integers(1, 7))
+    def pop_any(self, count):
+        got = self.queues.pop_any(count)
+        assert got == self.model.pop_any(count)
+
+    @invariant()
+    def tallies_match_the_model(self):
+        if self.queues is None:
+            return
+        q, m = self.queues, self.model
+        assert q.total_rays() == m.total_rays()
+        assert q.empty() == (m.total_rays() == 0)
+        assert q.largest() == m.largest()
+        assert q.queue_table.entries_used() == m.entries()
+        assert q.queue_table.peak_entries == m.peak_entries
+        assert q.queue_table.overflow_events == m.overflows
+        assert self.stats.queue_table_overflows == m.overflows
+        assert self.stats.count_table_evictions == m.evictions
+        assert q.count_table.total() == sum(q.count_table.counts.values())
+
+
+TestQueuesAgainstModel = QueuesMachine.TestCase
+TestQueuesAgainstModel.settings = settings(max_examples=150, stateful_step_count=60,
+                                           deadline=None)
 
 
 class TestAreaOverheads:

@@ -122,3 +122,57 @@ class TestProperties:
         for line in lines:
             c.access(line)
         assert 0 <= c.hits <= c.accesses
+
+
+def _state(cache):
+    """Resident lines per set in LRU order, plus the cache's counters."""
+    sets = {idx: list(s) for idx, s in cache._sets.items() if s}
+    return sets, cache.accesses, cache.hits, cache.insertions, cache.evictions
+
+
+class TestBulkHelpers:
+    """``insert_many`` and ``absent`` against one-line-at-a-time calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([None, 2]),
+        st.lists(st.integers(0, 40), max_size=30),
+        st.lists(st.lists(st.integers(0, 40), max_size=24), max_size=6),
+    )
+    def test_insert_many_matches_single_inserts(self, assoc, warm, bursts):
+        """Bursts that are distinct and absent (the bulk-eviction path),
+        bursts that overlap resident lines or repeat a line, and bursts
+        larger than the cache all leave the same sets and counters as
+        inserting their lines one by one."""
+        bulk = Cache("l1", 8 * 32, 32, assoc)
+        single = Cache("l1", 8 * 32, 32, assoc)
+        for line in warm:
+            bulk.insert(line)
+            single.insert(line)
+        for burst in bursts:
+            if burst and burst[0] % 2:
+                burst = [line for line in dict.fromkeys(burst) if not single.contains(line)]
+            new = 0
+            for line in burst:
+                new += not single.contains(line)
+                single.insert(line)
+            assert bulk.insert_many(burst) == new
+            assert _state(bulk) == _state(single)
+
+    def test_insert_many_new_count(self):
+        c = Cache("l1", 4 * 32, 32)
+        c.insert_many([1, 2])
+        assert c.insert_many([2, 3, 4, 5, 6]) == 4  # distinct, 2 resident
+        assert c.insert_many([7, 8, 9, 10, 11, 12]) == 6  # bulk, overfills
+        assert list(c._sets[0]) == [9, 10, 11, 12]
+        assert c.evictions == 2 + 6
+
+    @given(st.sampled_from([None, 2]), st.lists(st.integers(0, 40), max_size=30),
+           st.lists(st.integers(0, 40), max_size=20))
+    def test_absent_matches_contains(self, assoc, warm, probe):
+        c = Cache("l1", 8 * 32, 32, assoc)
+        for line in warm:
+            c.insert(line)
+        before = _state(c)
+        assert c.absent(probe) == [line for line in probe if not c.contains(line)]
+        assert _state(c) == before

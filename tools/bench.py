@@ -8,6 +8,11 @@ Times a fixed sweep of fast-scene cases through four phases —
                        the vectorized batch kernels, at several batch sizes,
 * ``plan_build``     — one cold ``build_plan`` per scene (the wave tracer
                        plus shading), best of ``--reps`` with min and max,
+* ``policy_replay``  — per scene, with its plan built, one render per
+                       policy (``baseline``, ``prefetch``, ``vtq`` and
+                       ``vtq`` with Fig. 12's naive queues), best of
+                       ``--reps`` with min and max, plus the
+                       ``prefetch/baseline`` and ``vtq/baseline`` ratios,
 * ``serial_sweep``   — the case list end-to-end in one process (plan
                        replay, render plans warm),
 * ``parallel_sweep`` — the same list through the parallel executor
@@ -244,6 +249,57 @@ def bench_plan_build(context, specs, reps):
         "reps": reps,
         "total_s": sum(row["min_s"] for row in per_scene.values()),
     }
+
+
+#: The replays ``policy_replay`` times: label -> (policy, naive queues?).
+REPLAYS = {
+    "baseline": ("baseline", False),
+    "prefetch": ("prefetch", False),
+    "vtq": ("vtq", False),
+    "vtq_naive": ("vtq", True),
+}
+
+
+def bench_policy_replay(context, specs, reps):
+    """Each policy's replay of a warm plan, per distinct scene.
+
+    The plan is built (and every policy run once) before timing, so the
+    reps measure the timing engines and memory pricing alone: the warm
+    path a sweep over one scene's policies takes.  ``vtq`` uses the
+    default queues, ``vtq_naive`` Fig. 12's naive ones.
+    """
+    from repro.experiments.figures import vtq_default
+    from repro.tracing import render_scene
+
+    naive = vtq_default(context).naive()
+    scenes = list(dict.fromkeys(spec.scene for spec in specs))
+    per_scene = {}
+    for scene in scenes:
+        mesh_scene, bvh = runner.scene_and_bvh(scene, context.setup)
+        replay = {}
+        for label, (policy, use_naive) in REPLAYS.items():
+            vtq = naive if use_naive else None
+
+            def run():
+                render_scene(mesh_scene, bvh, context.setup, policy=policy,
+                             vtq_config=vtq)
+
+            run()  # builds the plan on the first policy; warms the rest
+            times = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            replay[label] = {"min_s": min(times), "max_s": max(times)}
+        base = replay["baseline"]["min_s"]
+        per_scene[scene] = {
+            "replay": replay,
+            "ratio": {
+                "prefetch/baseline": replay["prefetch"]["min_s"] / base,
+                "vtq/baseline": replay["vtq"]["min_s"] / base,
+            },
+        }
+    return {"per_scene": per_scene, "reps": reps}
 
 
 def bench_serial(context, specs, reps):
@@ -527,6 +583,14 @@ def main(argv=None):
     for scene, row in phases["plan_build"]["per_scene"].items():
         print(f"  plan_build {scene}: {row['min_s']:.3f}s "
               f"(max {row['max_s']:.3f}s of {args.reps})")
+    phases["policy_replay"] = bench_policy_replay(context, specs, args.reps)
+    for scene, row in phases["policy_replay"]["per_scene"].items():
+        times = " ".join(
+            f"{label} {t['min_s']:.3f}s" for label, t in row["replay"].items()
+        )
+        print(f"  policy_replay {scene}: {times}; prefetch/baseline "
+              f"{row['ratio']['prefetch/baseline']:.2f}x, vtq/baseline "
+              f"{row['ratio']['vtq/baseline']:.2f}x")
     phases["serial_sweep"] = bench_serial(context, specs, args.reps)
     serial = phases["serial_sweep"]
     print(f"  serial_sweep: {serial['wall_s']:.2f}s "

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.memory import MemorySystem
-from repro.gpusim.rt_unit import BaselineRTUnit, record_step
+from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp, gaussian_leaf_cycles, step_latency
 
@@ -175,23 +175,6 @@ class PrefetchRTUnit(BaselineRTUnit):
                 if used is not None:
                     used[line] = True
 
-    def _note_candidate_lines(self, rays: List[SimRay]) -> List[int]:
-        """The lines :meth:`_note_accesses` would consider for ``rays``.
-
-        Unlike ``_note_accesses`` itself this does not depend on what is
-        currently outstanding (a cache-dependent fact), so the memory-trace
-        recorder can capture the candidates unconditionally and replay can
-        re-apply them against its own outstanding table.
-        """
-        lines: List[int] = []
-        for ray in rays:
-            state = ray.state
-            if state.finished() or not state.current_stack:
-                continue
-            item = state.current_stack[-1][0]
-            lines.extend(self.bvh.item_lines[item])
-        return lines
-
     # -- overridden processing ------------------------------------------------------
 
     def process_warp(self, warp: TraceWarp) -> None:
@@ -213,9 +196,6 @@ class PrefetchRTUnit(BaselineRTUnit):
         mode = self._mode
         warp_size = config.warp_size
         reevaluate = self.reevaluate_steps
-        recorder = mem.recorder
-        if recorder is not None:
-            recorder.begin_warp(warp)
         active = [r for r in warp.rays if not r.state.done]
         launched = len(active)
         cycle = self.cycle
@@ -231,11 +211,7 @@ class PrefetchRTUnit(BaselineRTUnit):
         while active:
             if steps % reevaluate == 0:
                 self._refresh_votes(active)
-                if recorder is not None:
-                    recorder.pf_refresh(dict(self._votes))
                 self._settle_outstanding(keep=self._popular_treelets())
-            if recorder is not None:
-                recorder.pf_note(self._note_candidate_lines(active))
             self._note_accesses(active)
             lane_lines = []
             tests = 0
@@ -273,8 +249,6 @@ class PrefetchRTUnit(BaselineRTUnit):
             max_latency, missing_lanes, misses = mem.access_lines_batch(
                 lane_lines, cycle, fold
             )
-            if recorder is not None:
-                record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
             latency = step_latency(
                 config, len(lane_lines), max_latency, missing_lanes, misses,
                 gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
@@ -288,8 +262,6 @@ class PrefetchRTUnit(BaselineRTUnit):
             steps += 1
             active = nxt
         self.cycle = cycle
-        if recorder is not None:
-            recorder.end_warp(cycle)
         remaining = sum(1 for ray in active if not ray.state.done)
         stats.rays_completed += launched - remaining
         stats.warps_processed += 1
@@ -303,9 +275,6 @@ class PrefetchRTUnit(BaselineRTUnit):
             stats.mode_tests[mode] = mode_t
 
     def run(self, on_complete=None) -> float:
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.note_prefetch_params(self.reevaluate_steps, self.min_votes)
         result = super().run(on_complete)
         self._settle_outstanding()
         return result

@@ -23,8 +23,9 @@ Commands:
 Two distinct trace artifacts exist: ``--trace-out`` (on ``figure`` /
 ``report``) writes a **chrome activity timeline** for human viewing,
 while ``--record-trace`` (on ``render``) and ``trace record`` write a
-**memory trace** that ``trace replay`` can re-price through a different
-cache hierarchy.  ``trace info`` tells you which kind a file is.
+**memory trace** (a stored render plan) that ``trace replay`` renders
+again at a changed GPU config.  ``trace info`` tells you which kind a
+file is.
 """
 
 from __future__ import annotations
@@ -79,27 +80,17 @@ def cmd_render(args) -> int:
     scene = load_scene(args.scene, scale=setup.scene_scale)
     bvh = build_scene_bvh(scene.mesh, treelet_budget_bytes=setup.gpu.treelet_bytes)
     if args.record_trace:
-        from repro.errors import TraceError
-        from repro.memtrace import RECORDABLE_POLICIES, save_trace
+        from repro.memtrace import save_trace
         from repro.memtrace.store import record_trace
 
-        if args.policy not in RECORDABLE_POLICIES:
-            print(f"--record-trace supports policies "
-                  f"{', '.join(RECORDABLE_POLICIES)}; not {args.policy!r}",
-                  file=sys.stderr)
-            return 2
-        try:
-            trace, result = record_trace(
-                scene, bvh, setup, args.policy, scene_name=args.scene,
-                sanitize=True if args.sanitize else None,
-            )
-            nbytes = save_trace(trace, args.record_trace)
-        except TraceError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        trace, result = record_trace(
+            scene, bvh, setup, args.policy, scene_name=args.scene,
+            sanitize=True if args.sanitize else None,
+        )
+        nbytes = save_trace(trace, args.record_trace)
         print(f"recorded memory trace {args.record_trace} "
-              f"({nbytes:,d} bytes, {trace.num_warps()} warps, "
-              f"{trace.num_tokens()} tokens)")
+              f"({nbytes:,d} bytes, {trace.num_rays()} rays, "
+              f"{trace.num_visits()} visits)")
     else:
         result = render_scene(scene, bvh, setup, policy=args.policy,
                               sanitize=True if args.sanitize else None)
@@ -358,7 +349,7 @@ def _parse_overrides(tokens) -> List:
 
 
 def cmd_trace_record(args) -> int:
-    """Record one case's memory trace to a file (live run with capture on)."""
+    """Record one case's memory trace to a file (a live run's plan)."""
     from repro.experiments import default_context
     from repro.experiments.runner import scene_and_bvh
     from repro.memtrace import save_trace
@@ -371,20 +362,18 @@ def cmd_trace_record(args) -> int:
     trace, result = record_trace(
         scene, bvh, context.setup, args.policy,
         scene_name=scene_name,
-        allow_partial=args.allow_partial,
         cycle_budget=budget.max_cycles if budget else None,
         sanitize=context.sanitize,
     )
     out = args.output or f"{scene_name.lower()}_{args.policy}.memtrace"
     nbytes = save_trace(trace, out)
-    partial = " (partial — replay will refuse it)" if trace.partial else ""
-    print(f"recorded {out}: {nbytes:,d} bytes, {trace.num_warps()} warps, "
-          f"{trace.num_tokens()} tokens, {result.cycles:,.0f} cycles{partial}")
+    print(f"recorded {out}: {nbytes:,d} bytes, {trace.num_rays()} rays, "
+          f"{trace.num_visits()} visits, {result.cycles:,.0f} cycles")
     return 0
 
 
 def cmd_trace_replay(args) -> int:
-    """Replay a memory trace, optionally at a changed memory hierarchy."""
+    """Replay a memory trace, optionally at a changed GPU config."""
     from repro.memtrace import load_trace, replay_trace
 
     overrides = _parse_overrides(args.set)
@@ -396,11 +385,6 @@ def cmd_trace_replay(args) -> int:
     print(f"{result.policy}: {result.cycles:,.0f} cycles, "
           f"SIMT {result.stats.simt_efficiency():.2f}, "
           f"L1 miss {result.stats.miss_rate('l1'):.2f}")
-    record_wall = trace.meta.get("record_wall_s") or 0.0
-    if result.replay_wall_s > 0.0 and record_wall > 0.0:
-        print(f"replay {result.replay_wall_s:.3f}s vs recorded live run "
-              f"{record_wall:.3f}s "
-              f"({record_wall / result.replay_wall_s:.1f}x)")
     return 0
 
 
@@ -423,11 +407,8 @@ def cmd_trace_info(args) -> int:
             return 2
         print(f"  scene {info['scene']}  policy {info['policy']}  "
               f"version {info['version']}  SMs {info['num_sms']}")
-        print(f"  {info['warps']} warps, {info['tokens']} tokens, "
-              f"{info['cycles']:,.0f} cycles"
-              + ("  [partial]" if info["partial"] else ""))
-        if info.get("record_wall_s"):
-            print(f"  recorded in {info['record_wall_s']:.3f}s")
+        print(f"  {info['bounces']} bounces, {info['rays']} rays, "
+              f"{info['visits']} visits")
     elif kind == "chrome-timeline":
         print(f"{info['path']}: chrome activity timeline "
               f"({info['events']} events, {info['bytes']:,d} bytes; "
@@ -1001,30 +982,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = tsub.add_parser(
         "record",
-        help="run one case live with memory-trace capture on",
+        help="run one case live and store its render plan",
     )
     tp.add_argument("scene",
                     choices=scene_names(include_extra=True, include_gaussian=True))
     tp.add_argument("--policy", default="baseline",
-                    choices=("baseline", "prefetch", "vtq"))
+                    choices=("baseline", "prefetch", "sorted", "vtq"))
     tp.add_argument("-o", "--output", default=None, metavar="PATH",
                     help="trace file (default <scene>_<policy>.memtrace)")
     tp.add_argument("--fast", action="store_true",
                     help="record under the fast (tests/CI) context")
-    tp.add_argument("--allow-partial", action="store_true",
-                    help="keep a budget-truncated trace instead of failing "
-                         "(replay will refuse it; see "
-                         "REPRO_TRACE_BUDGET_BYTES)")
     tp.set_defaults(trace_func=cmd_trace_record)
 
     tp = tsub.add_parser(
         "replay",
-        help="re-price a recorded trace through the memory hierarchy",
+        help="render a recorded trace's plan again, optionally at a "
+             "changed GPU config",
     )
     tp.add_argument("path", help="a .memtrace file (see `trace record`)")
     tp.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
-                    help="override a replay-safe GPUConfig field (repeatable), "
-                         "e.g. --set l2_bytes=4194304")
+                    help="override a GPUConfig field other than l1_bytes "
+                         "and line_bytes (repeatable), e.g. "
+                         "--set l2_bytes=4194304")
     tp.set_defaults(trace_func=cmd_trace_replay)
 
     tp = tsub.add_parser(

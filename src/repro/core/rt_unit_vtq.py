@@ -40,7 +40,7 @@ from repro.core.treelet_queue import TreeletQueues
 from repro.gpusim.budget import check_cycle_budget
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.memory import MemorySystem
-from repro.gpusim.rt_unit import apply_stall_fault, record_step
+from repro.gpusim.rt_unit import apply_stall_fault
 from repro.gpusim.stats import SimStats, StatsFold, TraversalMode
 from repro.gpusim.warp import SimRay, TraceWarp, gaussian_leaf_cycles, step_latency
 
@@ -103,9 +103,6 @@ class VTQRTUnit:
                 continue
             if self._incoming:
                 # Idle until the next raygen warp arrives.
-                recorder = self.mem.recorder
-                if recorder is not None:
-                    recorder.advance_to(self._incoming[0][0])
                 self.cycle = max(self.cycle, self._incoming[0][0])
                 continue
             break  # pragma: no cover - has_work() excludes this
@@ -143,11 +140,8 @@ class VTQRTUnit:
         phase_start = self.cycle
         self._rays_in_unit += len(rays)
         mem = self.mem
-        recorder = mem.recorder
         # Writing the warp's ray records into the reserved L2 region;
         # store traffic only (stores retire through the write queue).
-        if recorder is not None:
-            recorder.ray_write([ray.ray_id for ray in rays])
         for ray in rays:
             mem.ray_data_access(ray.ray_id, self.cycle, write=True)
 
@@ -208,10 +202,6 @@ class VTQRTUnit:
                 max_latency, missing_lanes, misses = mem.access_lines_batch(
                     lane_lines, cycle, fold
                 )
-                if recorder is not None:
-                    record_step(
-                        recorder, mode, lane_lines, tests, step_leaves, gaussian
-                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -280,9 +270,6 @@ class VTQRTUnit:
         config = self.config
         fold = self.fold
         mode = TraversalMode.TREELET_STATIONARY
-        recorder = mem.recorder
-        if recorder is not None:
-            recorder.tq_fetch(treelet)
         fetch_latency = mem.fetch_treelet(self.bvh.treelet_lines[treelet], self.cycle)
         preload = self.vtq.preload_enabled
         if preload:
@@ -317,8 +304,6 @@ class VTQRTUnit:
             # "Ray data can also be preloaded similarly") the controller
             # fetches the next warp's records while the current warp
             # steps, hiding the load behind the previous warp's work.
-            if recorder is not None:
-                recorder.ray_load_ts([ray.ray_id for ray in rays])
             load_latency = 0.0
             for ray in rays:
                 lat = ray_data(ray.ray_id, cycle)
@@ -380,10 +365,6 @@ class VTQRTUnit:
                 if not lane_lines:
                     break
                 max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
-                if recorder is not None:
-                    record_step(
-                        recorder, mode, lane_lines, tests, step_leaves, gaussian
-                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -415,8 +396,6 @@ class VTQRTUnit:
             stats.warps_processed += 1
 
         self.cycle = cycle
-        if recorder is not None:
-            recorder.tq_end()
         # Section 4.3: the controller preloads the next treelet while this
         # one is processed, hiding up to this queue's processing time of
         # the next fetch.
@@ -463,9 +442,6 @@ class VTQRTUnit:
         config = self.config
         fold = self.fold
         mode = TraversalMode.FINAL_RAY_STATIONARY
-        recorder = mem.recorder
-        if recorder is not None:
-            recorder.ray_load_final([ray.ray_id for ray in rays])
         load_latency = 0.0
         for ray in rays:
             lat = mem.ray_data_access(ray.ray_id, self.cycle)
@@ -524,10 +500,6 @@ class VTQRTUnit:
                 max_latency, missing_lanes, misses = mem.access_lines_batch(
                     lane_lines, cycle, fold
                 )
-                if recorder is not None:
-                    record_step(
-                        recorder, mode, lane_lines, tests, step_leaves, gaussian
-                    )
                 latency = step_latency(
                     config, len(lane_lines), max_latency, missing_lanes, misses,
                     gaussian_leaf_cycles(config, tests, step_leaves)
@@ -556,8 +528,6 @@ class VTQRTUnit:
             if repack_enabled and active and len(active) < repack_threshold:
                 refill = self.queues.pop_any(warp_size - len(active))
                 if refill:
-                    if recorder is not None:
-                        recorder.ray_load_refill([ray.ray_id for ray in refill])
                     refill_latency = 0.0
                     for ray in refill:
                         lat = mem.ray_data_access(ray.ray_id, cycle)

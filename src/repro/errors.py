@@ -19,7 +19,6 @@ Hierarchy::
     │   └── AdmissionRejected                job refused at the queue door
     │       └── CircuitOpen                  scene's circuit breaker is open
     ├── TraceError                           unusable/unreplayable memory trace
-    │   └── TraceBudgetExceeded              recording overran its size budget
     └── SimulationError                      a simulated case went wrong
         ├── BudgetExceeded                   wall-clock or cycle budget blown
         └── SanitizerError                   post-render invariant violated
@@ -132,29 +131,9 @@ class CircuitOpen(AdmissionRejected):
 
 class TraceError(ReproError):
     """A recorded memory trace cannot be used: the file is corrupt or
-    truncated, its checksum or version does not match, or a replay was
-    requested at a configuration the trace is not valid for.  Always
-    recoverable: the caller re-records or falls back to a live run."""
-
-
-class TraceBudgetExceeded(TraceError):
-    """Memory-trace recording overran its size budget
-    (``REPRO_TRACE_BUDGET_BYTES``).  The recorder stops storing further
-    events so a large scene cannot fill the disk silently; saving the
-    truncated stream requires an explicit partial-trace opt-in."""
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        kind: str = "trace_bytes",
-        limit: Optional[float] = None,
-        observed: Optional[float] = None,
-    ):
-        super().__init__(message)
-        self.kind = kind
-        self.limit = limit
-        self.observed = observed
+    truncated, its checksum, version or BVH layout digest does not
+    match, or a replay asked to change a field the stored plan depends
+    on.  Always recoverable: the caller re-records or runs live."""
 
 
 class SimulationError(ReproError):

@@ -15,6 +15,29 @@ from typing import Optional
 from repro import settings
 
 
+#: GPUConfig fields that are a latency, a cycle cost or a DRAM timing:
+#: zero is a valid (free) cost, a negative one is refused.
+COST_FIELDS = (
+    "l1_latency",
+    "l2_latency",
+    "dram_latency",
+    "dram_line_transfer",
+    "intersection_latency",
+    "miss_serialization_cycles",
+    "raygen_cycles_per_warp",
+    "shade_cycles_per_warp",
+    "cta_launch_cycles",
+    "gaussian_alpha_cycles",
+    "gaussian_blend_cycles",
+    "ray_sort_cycles_per_key",
+    "dram_t_cas",
+    "dram_t_rcd",
+    "dram_t_rp",
+    "dram_base_cycles",
+    "cta_resume_schedule_cycles",
+)
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Simulated GPU parameters.
@@ -95,6 +118,9 @@ class GPUConfig:
             raise ValueError("cache sizes must be multiples of the line size")
         if self.cta_threads % self.warp_size:
             raise ValueError("cta_threads must be a multiple of warp_size")
+        negative = [name for name in COST_FIELDS if getattr(self, name) < 0]
+        if negative:
+            raise ValueError(f"cost fields must not be negative: {negative}")
 
     # -- derived quantities ---------------------------------------------------
 

@@ -61,9 +61,6 @@ class MemorySystem:
         # Optional observer invoked on every L1 BVH demand miss (the
         # treelet prefetcher hangs off this).
         self.l1_miss_hook = None
-        # Optional memory-trace recorder (repro.memtrace); the replay
-        # engines check it at each emission point.  Purely observational.
-        self.recorder = None
         # Optional banked DRAM model (per SM; see repro.gpusim.dram).
         if config.detailed_dram:
             from repro.gpusim.dram import DRAMModel
@@ -150,8 +147,7 @@ class MemorySystem:
         later lanes) and DRAM model calls.  Only the statistics writes are
         deferred — all integer counters, folded with presence-exact
         guards, so ``SimStats.snapshot()`` is bit-identical to the scalar
-        path.  A trace recorder needs no hook here: the policy units
-        emit each step's ``lane_lines`` to it themselves.
+        path.
         """
         config = self.config
         l1 = self.l1

@@ -42,13 +42,9 @@ holds them to it):
   can be observed mid-run: the cycle-budget check at the top of the run
   loop, and the end of the run.
 
-A memory-trace recorder (``mem.recorder``, :mod:`repro.memtrace`) is fed
-from the same loops: per-warp ``begin_warp``/``step``/``end_warp``, the
-prefetcher's ``pf_refresh``/``pf_note`` and the VTQ phases' ray-data and
-treelet-fetch ops, each emitted just before the memory calls it
-describes (``step`` after its lanes are priced); warp submissions and
-VTQ idle jumps are emitted by the schedulers, CTA save/restore by the
-render driver.
+A memory trace (:mod:`repro.memtrace`) is a stored render plan, so the
+units have no recording hooks: replaying a trace is an ordinary render
+of the stored plan through these same loops.
 """
 
 from __future__ import annotations
@@ -76,18 +72,6 @@ def apply_stall_fault(engine) -> None:
     spec = faults.should_fire(faults.SIM_STALL, type(engine).__name__)
     if spec is not None:
         engine.cycle += float(spec.payload.get("extra_cycles", 1e12))
-
-
-def record_step(recorder, mode, lane_lines, tests, leaf_lanes, gaussian) -> None:
-    """Emit one warp step to a memory-trace recorder.
-
-    Leaf-cost operands are recorded only on gaussian workloads, so
-    triangle traces stay byte-identical to the trace format's v1 shape.
-    """
-    if gaussian:
-        recorder.step(mode, lane_lines, tests=tests, leaf_lanes=leaf_lanes)
-    else:
-        recorder.step(mode, lane_lines)
 
 
 class BaselineRTUnit:
@@ -125,9 +109,6 @@ class BaselineRTUnit:
         self._seq += 1
         heapq.heappush(self._pending, (warp.ready_cycle, warp.seq, warp))
         self.stats.rays_traced += len(warp.active_rays())
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.on_submit(warp)
 
     def has_work(self) -> bool:
         return bool(self._pending)
@@ -140,9 +121,6 @@ class BaselineRTUnit:
         config = self.config
         stats = self.stats
         batch = self.mem.access_lines_batch
-        recorder = self.mem.recorder
-        if recorder is not None:
-            recorder.begin_warp(warp)
         fold = self.fold
         mode = self._mode
         warp_size = config.warp_size
@@ -200,8 +178,6 @@ class BaselineRTUnit:
                     st.done = True
                     completed += 1
             max_latency, missing_lanes, misses = batch(lane_lines, cycle, fold)
-            if recorder is not None:
-                record_step(recorder, mode, lane_lines, tests, step_leaves, gaussian)
             latency = step_latency(
                 config, len(lane_lines), max_latency, missing_lanes, misses,
                 gaussian_leaf_cycles(config, tests, step_leaves) if gaussian else 0.0,
@@ -215,8 +191,6 @@ class BaselineRTUnit:
             steps += 1
             live = nxt
         self.cycle = cycle
-        if recorder is not None:
-            recorder.end_warp(cycle)
         stats.rays_completed += completed
         stats.warps_processed += 1
         stats.simt_active_sum = simt_sum

@@ -1,27 +1,27 @@
-"""repro.memtrace — explicit memory-trace capture & replay.
+"""repro.memtrace — memory traces as stored render plans.
 
-Record the memory transaction stream of one live render, then re-price
-it through freshly configured L1/L2/DRAM models to get full ``SimStats``
-for any memory-hierarchy-only configuration without re-running
-traversal.  An opt-in tool (``repro trace``, ``repro render
+A memory trace is a checksummed file holding one render's plan (every
+ray's BVH visits, per bounce) plus the scene, setup and GPU config it
+was made at.  Replaying it renders that plan live at the recorded
+configuration, or at a changed one: every ``GPUConfig`` field except
+``l1_bytes`` and ``line_bytes`` (which change the BVH) replays exactly,
+for every policy.  An opt-in tool (``repro trace``, ``repro render
 --record-trace``): sweeps and cases never consult it.  See
-``docs/MEMTRACE.md`` for the format, the replay-safety rules and the
+``docs/MEMTRACE.md`` for the file contents, the field rule and the
 store layout.
 """
 
 from repro.memtrace.format import (
     MemTrace,
-    SMTrace,
     load_trace,
     save_trace,
     trace_file_info,
 )
-from repro.memtrace.recorder import RECORDABLE_POLICIES, TraceRecorder
-from repro.memtrace.replay import replay_trace
-from repro.memtrace.safety import REPLAY_SAFE_GPU_FIELDS, ensure_replayable
+from repro.memtrace.safety import PLAN_GPU_FIELDS, ensure_replayable
 from repro.memtrace.store import (
     ensure_trace,
     record_trace,
+    replay_trace,
     store_trace,
     trace_dir,
     trace_key,
@@ -31,17 +31,14 @@ from repro.memtrace.store import (
 
 __all__ = [
     "MemTrace",
-    "SMTrace",
     "load_trace",
     "save_trace",
     "trace_file_info",
-    "RECORDABLE_POLICIES",
-    "TraceRecorder",
-    "replay_trace",
-    "REPLAY_SAFE_GPU_FIELDS",
+    "PLAN_GPU_FIELDS",
     "ensure_replayable",
     "ensure_trace",
     "record_trace",
+    "replay_trace",
     "store_trace",
     "trace_dir",
     "trace_key",

@@ -1,4 +1,11 @@
-"""On-disk format of recorded memory traces.
+"""On-disk format of memory traces.
+
+A memory trace is a stored :class:`~repro.gpusim.soa.RenderPlan` plus
+the metadata needed to replay it.  The plan already holds every memory
+access a render makes — each ray's visited items (hence cache lines),
+treelet crossings and sort key, per bounce — so a trace needs no
+recorded line stream: replaying it is an ordinary render of the stored
+plan (:func:`repro.memtrace.replay_trace`).
 
 A trace file is one header line followed by a compressed npz payload::
 
@@ -12,20 +19,11 @@ way the hardened experiment cache checksums its entries: any flipped
 byte fails verification with a typed :class:`repro.errors.TraceError`
 and the caller re-records.
 
-The payload holds, per SM, a flat ``int64`` token stream of *operations*
-plus a ``float64`` literal stream.  Two stream shapes exist:
-
-* **warp mode** (baseline / prefetch): one op span per warp, plus the
-  warp *genealogy* — each warp's ready cycle (absolute for primaries,
-  a delta from the parent's completion for children) and parent index.
-  Replay re-runs the greedy-then-oldest scheduler over the genealogy,
-  which stays exact when memory-hierarchy parameters change.
-* **linear mode** (vtq): one chronological op stream per SM with the
-  unit's idle jumps recorded as ``ADVANCE_TO`` literals.  Bit-exact at
-  the recorded configuration only (see ``docs/MEMTRACE.md``).
-
-JSON metadata (scene, policy, full GPU config, per-SM stat overlays,
-image shape, partial marker) rides inside the npz as a ``uint8`` array.
+The payload holds, per bounce ``b``, the :class:`TraceBatch` columns
+(``b<b>_<column>``) and the ``slots`` array, plus ``radiance``.  JSON
+metadata rides inside the npz as a ``uint8`` array: scene, scene scale,
+setup geometry, seed, policy, VTQ config, the full GPU config, pixel
+and sample counts, and the digest of the BVH layout the plan indexes.
 """
 
 from __future__ import annotations
@@ -35,115 +33,46 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+import zipfile
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.gpusim.stats import SimStats, TraversalMode
+from repro.gpusim.soa import RenderPlan, TraceBatch
 
-# Version 2 extends OP_STEP with the leaf-cost operands (tests,
-# leaf_lanes) so gaussian-workload traces can reprice alpha-evaluation
-# cycles at replay time.  Triangle workloads record zeros there and the
-# replayed numbers are unchanged.
-TRACE_VERSION = "2"
+# Version 3: the payload is a render plan.
+TRACE_VERSION = "3"
 _MAGIC = b"memtrace "
 
-# -- operation codes -----------------------------------------------------------
-#
-# Each op is a code token followed by its integer operands; only
-# ADVANCE_TO consumes a literal from the float stream.
-
-OP_STEP = 1            # mode, tests, leaf_lanes, nlanes, then per lane: nlines, line ids
-OP_PF_REFRESH = 2      # nvotes, then (treelet, votes) pairs
-OP_PF_NOTE = 3         # nlines, line ids
-OP_RAY_WRITE = 4       # nrays, ray ids
-OP_RAY_LOAD_TS = 5     # nrays, ray ids (treelet-stationary warp load)
-OP_RAY_LOAD_FINAL = 6  # nrays, ray ids (final-phase warp load)
-OP_RAY_LOAD_REFILL = 7  # nrays, ray ids (warp-repack refill load)
-OP_TQ_FETCH = 8        # treelet id
-OP_TQ_END = 9          # (no operands)
-OP_CTA_SAVE = 10       # (no operands)
-OP_CTA_RESTORE = 11    # (no operands)
-OP_ADVANCE_TO = 12     # one float literal: absolute target cycle
-
-# Traversal modes are encoded by their position in the enum's definition
-# order, which is stable (the enum mirrors the paper's three phases).
-MODE_LIST = list(TraversalMode)
-MODE_CODES = {mode: idx for idx, mode in enumerate(MODE_LIST)}
-
-# Stat fields the replay *carries over* from the live run instead of
-# recomputing: everything produced by traversal logic and bookkeeping
-# that never touches the memory hierarchy.  The memory-dependent rest
-# (cache counters, traffic, DRAM, timeline, mode cycles, prefetch and
-# treelet-fetch lines, total cycles) is recomputed through fresh models.
-OVERLAY_SCALARS = (
-    "simt_active_sum",
-    "simt_steps",
-    "rays_traced",
-    "rays_completed",
-    "warps_processed",
-    "node_visits",
-    "leaf_visits",
-    "triangle_tests",
-    "treelet_queue_pushes",
-    "treelet_queue_pops",
-    "warp_repacks",
-    "cta_saves",
-    "cta_restores",
-    "queue_table_overflows",
-    "count_table_evictions",
-    "queue_table_peak_entries",
-    "count_table_peak_entries",
+#: The :class:`TraceBatch` columns a trace stores, in constructor order
+#: (``sort_key`` is set after construction).
+BATCH_COLUMNS = (
+    "start", "item", "isleaf", "tests", "curwork", "cur_tre", "next_tre",
+    "top_item", "chain_row", "chain_ptr", "chain_tre", "sort_key",
 )
 
-
-def overlay_from_stats(stats: SimStats) -> Dict:
-    """The carried-over view of one SM's live statistics (pure reader)."""
-    out = {name: getattr(stats, name) for name in OVERLAY_SCALARS}
-    out["mode_tests"] = {
-        mode.value: tests
-        for mode, tests in sorted(
-            stats.mode_tests.items(), key=lambda item: item[0].value
-        )
-    }
-    return out
-
-
-def apply_overlay(stats: SimStats, overlay: Dict) -> None:
-    """Add one SM's carried-over counters onto a replayed ``SimStats``."""
-    for name in OVERLAY_SCALARS:
-        if name in ("queue_table_peak_entries", "count_table_peak_entries"):
-            setattr(stats, name, max(getattr(stats, name), overlay[name]))
-        else:
-            setattr(stats, name, getattr(stats, name) + overlay[name])
-    for mode_value, tests in overlay["mode_tests"].items():
-        stats.mode_tests[TraversalMode(mode_value)] += tests
-
-
-@dataclass
-class SMTrace:
-    """One SM's recorded stream."""
-
-    ops: np.ndarray          # int64 token stream
-    fops: np.ndarray         # float64 literals (linear mode only)
-    warp_start: np.ndarray   # int64 op-span offsets, per warp (warp mode)
-    warp_end: np.ndarray
-    warp_ready: np.ndarray   # float64: absolute ready / delta from parent end
-    warp_parent: np.ndarray  # int64: -1 for primaries
+#: Metadata keys every trace carries.
+META_KEYS = (
+    "scene", "scale", "setup", "seed", "policy", "vtq", "gpu",
+    "pixels", "spp", "bvh_digest",
+)
 
 
 @dataclass
 class MemTrace:
-    """A decoded memory trace: metadata, static tables and SM streams."""
+    """A decoded memory trace: metadata plus the plan's arrays.
+
+    ``batches[b]`` maps each of :data:`BATCH_COLUMNS` and ``"slots"`` to
+    bounce ``b``'s array.
+    """
 
     meta: Dict
-    image: np.ndarray
-    treelet_base: np.ndarray
-    treelet_sizes: np.ndarray
-    sms: List[SMTrace] = field(default_factory=list)
+    batches: List[Dict[str, np.ndarray]]
+    radiance: np.ndarray
 
     @property
     def scene(self) -> str:
@@ -153,15 +82,36 @@ class MemTrace:
     def policy(self) -> str:
         return self.meta.get("policy", "")
 
-    @property
-    def partial(self) -> bool:
-        return bool(self.meta.get("partial", False))
+    def num_rays(self) -> int:
+        return int(sum(len(b["slots"]) for b in self.batches))
 
-    def num_tokens(self) -> int:
-        return int(sum(len(sm.ops) + len(sm.fops) for sm in self.sms))
+    def num_visits(self) -> int:
+        """Item visits: each ray's rows minus its retiring row."""
+        return int(sum(len(b["item"]) - len(b["slots"]) for b in self.batches))
 
-    def num_warps(self) -> int:
-        return int(sum(len(sm.warp_start) for sm in self.sms))
+
+def trace_from_plan(plan: RenderPlan, meta: Dict) -> MemTrace:
+    """The trace of ``plan`` (arrays shared, not copied)."""
+    batches = []
+    for batch, slots in zip(plan.batches, plan.slots):
+        columns = {name: getattr(batch, name) for name in BATCH_COLUMNS}
+        columns["slots"] = slots
+        batches.append(columns)
+    meta = dict(meta, pixels=plan.pixels, spp=plan.spp)
+    return MemTrace(meta=meta, batches=batches, radiance=plan.radiance)
+
+
+def plan_from_trace(trace: MemTrace, tables) -> RenderPlan:
+    """Rebuild the render plan over a BVH's ``batch_tables()``."""
+    batches = []
+    for columns in trace.batches:
+        batch = TraceBatch(*(columns[name] for name in BATCH_COLUMNS[:-1]), tables)
+        batch.sort_key = columns["sort_key"]
+        batches.append(batch)
+    return RenderPlan(
+        batches, [columns["slots"] for columns in trace.batches],
+        trace.radiance, trace.meta["pixels"], trace.meta["spp"],
+    )
 
 
 # -- encode / decode -----------------------------------------------------------
@@ -170,26 +120,44 @@ class MemTrace:
 def encode_trace(trace: MemTrace) -> bytes:
     """Serialize to header + checksummed compressed-npz bytes."""
     arrays = {
-        "image": np.asarray(trace.image, dtype=np.float64),
-        "treelet_base": np.asarray(trace.treelet_base, dtype=np.int64),
-        "treelet_sizes": np.asarray(trace.treelet_sizes, dtype=np.int64),
+        "radiance": trace.radiance,
         "meta": np.frombuffer(
             json.dumps(trace.meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         ),
     }
-    for j, sm in enumerate(trace.sms):
-        arrays[f"sm{j}_ops"] = np.asarray(sm.ops, dtype=np.int64)
-        arrays[f"sm{j}_fops"] = np.asarray(sm.fops, dtype=np.float64)
-        arrays[f"sm{j}_wstart"] = np.asarray(sm.warp_start, dtype=np.int64)
-        arrays[f"sm{j}_wend"] = np.asarray(sm.warp_end, dtype=np.int64)
-        arrays[f"sm{j}_wready"] = np.asarray(sm.warp_ready, dtype=np.float64)
-        arrays[f"sm{j}_wparent"] = np.asarray(sm.warp_parent, dtype=np.int64)
+    for b, columns in enumerate(trace.batches):
+        for name, values in columns.items():
+            arrays[f"b{b}_{name}"] = values
     buf = io.BytesIO()
     np.savez_compressed(buf, **arrays)
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).hexdigest()
     header = _MAGIC + f"{TRACE_VERSION} {digest}\n".encode("ascii")
     return header + payload
+
+
+def _check_shapes(meta: Dict, batches, radiance: np.ndarray) -> None:
+    """Refuse a payload whose arrays do not form a plan."""
+    slots_total = int(meta["pixels"]) * int(meta["spp"])
+    if radiance.shape != (slots_total, 3):
+        raise ValueError(f"radiance shape {radiance.shape} != ({slots_total}, 3)")
+    for b, columns in enumerate(batches):
+        start = columns["start"]
+        rays = len(columns["slots"])
+        rows = len(columns["item"])
+        if any(values.ndim != 1 for values in columns.values()):
+            raise ValueError(f"bounce {b}: columns must be 1-D")
+        if len(start) != rays + 1 or len(columns["sort_key"]) != rays:
+            raise ValueError(f"bounce {b}: per-ray columns disagree on the ray count")
+        if rays and (start[0] != 0 or start[-1] != rows or np.any(np.diff(start) < 1)):
+            raise ValueError(f"bounce {b}: row offsets out of range")
+        for name in ("isleaf", "tests", "curwork", "cur_tre", "next_tre", "top_item"):
+            if len(columns[name]) != rows:
+                raise ValueError(f"bounce {b}: column {name!r} has the wrong length")
+        if len(columns["chain_ptr"]) != len(columns["chain_row"]) + 1:
+            raise ValueError(f"bounce {b}: chain table is inconsistent")
+        if rays and (columns["slots"].min() < 0 or columns["slots"].max() >= slots_total):
+            raise ValueError(f"bounce {b}: slot out of range")
 
 
 def decode_trace(data: bytes) -> MemTrace:
@@ -221,27 +189,20 @@ def decode_trace(data: bytes) -> MemTrace:
         raise TraceError(f"undecodable memory-trace payload: {exc}") from exc
     try:
         meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-        num_sms = int(meta["num_sms"])
-        sms = [
-            SMTrace(
-                ops=npz[f"sm{j}_ops"],
-                fops=npz[f"sm{j}_fops"],
-                warp_start=npz[f"sm{j}_wstart"],
-                warp_end=npz[f"sm{j}_wend"],
-                warp_ready=npz[f"sm{j}_wready"],
-                warp_parent=npz[f"sm{j}_wparent"],
-            )
-            for j in range(num_sms)
+        missing = [key for key in META_KEYS if key not in meta]
+        if missing:
+            raise KeyError(f"metadata lacks {missing}")
+        bounces = sum(1 for name in npz.files if name.endswith("_slots"))
+        batches = [
+            {name: npz[f"b{b}_{name}"] for name in BATCH_COLUMNS + ("slots",)}
+            for b in range(bounces)
         ]
-        return MemTrace(
-            meta=meta,
-            image=npz["image"],
-            treelet_base=npz["treelet_base"],
-            treelet_sizes=npz["treelet_sizes"],
-            sms=sms,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        radiance = npz["radiance"]
+        _check_shapes(meta, batches, radiance)
+    except (KeyError, ValueError, TypeError, OSError, EOFError,
+            zipfile.BadZipFile, zlib.error) as exc:
         raise TraceError(f"incomplete memory-trace payload: {exc}") from exc
+    return MemTrace(meta=meta, batches=batches, radiance=radiance)
 
 
 def save_trace(trace: MemTrace, path) -> int:
@@ -295,15 +256,13 @@ def trace_file_info(path) -> Dict:
             return info
         meta = trace.meta
         info.update(
-            version=meta.get("version"),
+            version=TRACE_VERSION,
             scene=trace.scene,
             policy=trace.policy,
-            num_sms=meta.get("num_sms"),
-            partial=trace.partial,
-            tokens=trace.num_tokens(),
-            warps=trace.num_warps(),
-            record_wall_s=meta.get("record_wall_s"),
-            cycles=max(meta.get("per_sm_cycles", [0.0]) or [0.0]),
+            num_sms=meta["gpu"].get("num_sms"),
+            bounces=len(trace.batches),
+            rays=trace.num_rays(),
+            visits=trace.num_visits(),
         )
         return info
     try:

@@ -1,117 +1,70 @@
-"""Which configuration changes a recorded trace can be replayed across.
+"""Which configuration changes a memory trace can be replayed across.
 
-A trace records the *memory transaction stream* of one live run.  That
-stream is a function of the traversal logic (purely functional in ray
-states and the BVH), the BVH layout, and the engine's scheduling
-decisions.  A configuration field is **replay-safe** when changing it
-cannot change the recorded stream — only what each recorded transaction
-*costs* — so re-pricing the stream through freshly configured cache and
-DRAM models is exact:
+A trace is a stored render plan, and a plan depends on the GPU
+configuration only through the BVH it indexes.  Two fields change that
+BVH, so a replay refuses to change them:
 
-* L2 geometry and latency (``l2_bytes``/``l2_assoc``/``l2_latency``),
-  L1 associativity and hit latency, DRAM latency, the detailed-DRAM
-  timing block, line-transfer and miss-serialization costs, the
-  fixed-function intersection latency, and the gaussian leaf-cost knobs
-  (``gaussian_alpha_cycles``/``gaussian_blend_cycles`` — trace format
-  v2 records each step's test and leaf-lane counts, so replay reprices
-  them) all sit *behind* the stream.
+* ``l1_bytes`` sets ``treelet_bytes`` and therefore the treelet
+  partition;
+* ``line_bytes`` sets every item's cache-line ids.
 
-Everything else is **replay-unsafe** because it feeds the stream itself:
+Every other :class:`~repro.gpusim.config.GPUConfig` field replays
+exactly, for every policy: the replay is a live render of the stored
+plan at the new configuration, which is what a fresh run does after
+building the same plan.
 
-* ``l1_bytes`` sets ``treelet_bytes`` and therefore the BVH's treelet
-  partition — a different BVH image, a different stream;
-* ``line_bytes`` changes every line id in the stream;
-* ``num_sms`` / ``warp_size`` / ``cta_threads`` / ``max_cta_per_sm`` /
-  ``max_virtual_rays_per_sm`` change how rays are grouped and scheduled;
-* raygen/shade/launch/sort/resume cycle costs move warp arrival times,
-  which for the vtq engine reorders its phase interleaving;
-* every ``VTQConfig`` field changes queueing decisions, and the policy
-  itself selects a different engine.
-
-Replay is exact across safe axes for **baseline** and **prefetch**
-(their scheduler is re-run from the recorded warp genealogy).  The vtq
-engine's phase schedule is timing-dependent, so its traces are pinned:
-replayable bit-for-bit at the recorded configuration only.
-
-:func:`ensure_replayable` is the one gate: ``repro trace replay`` and
-:func:`repro.memtrace.replay_trace` call it before re-pricing anything.
-Sweeps never consult it — they run every point live.
+:func:`layout_digest` names the BVH a plan was built over; a replay
+checks the rebuilt BVH against the digest the trace carries, so a
+trace from a different BVH build is refused rather than misread.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.gpusim.config import GPUConfig
 
-#: GPUConfig fields whose value the recorded stream does not depend on.
-REPLAY_SAFE_GPU_FIELDS = frozenset(
-    {
-        "l1_assoc",
-        "l1_latency",
-        "l2_bytes",
-        "l2_assoc",
-        "l2_latency",
-        "dram_latency",
-        "dram_line_transfer",
-        "miss_serialization_cycles",
-        "intersection_latency",
-        "gaussian_alpha_cycles",
-        "gaussian_blend_cycles",
-        "detailed_dram",
-        "dram_channels",
-        "dram_banks",
-        "dram_row_bytes",
-        "dram_t_cas",
-        "dram_t_rcd",
-        "dram_t_rp",
-        "dram_base_cycles",
-    }
-)
-
-#: Policies whose scheduler replay re-runs exactly across safe axes.
-_CROSS_CONFIG_POLICIES = ("baseline", "prefetch")
+#: GPUConfig fields the stored plan depends on (through the BVH).
+PLAN_GPU_FIELDS = ("l1_bytes", "line_bytes")
 
 _GPU_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(GPUConfig))
 
 
-def ensure_replayable(meta: Dict, overrides: Mapping[str, object]) -> None:
-    """Validate a replay request against a trace's metadata.
-
-    Raises :class:`TraceError` when the trace is partial, when an
-    override names an unknown field, when a replay-unsafe field would
-    actually change, or when a vtq trace is asked for any non-recorded
-    configuration at all.
-    """
-    if meta.get("partial"):
-        raise TraceError(
-            "trace is partial (recording hit its size budget); "
-            "partial traces cannot be replayed — re-record with a larger "
-            "REPRO_TRACE_BUDGET_BYTES"
-        )
+def ensure_replayable(meta: Mapping, overrides: Mapping[str, object]) -> None:
+    """Refuse overrides that name unknown fields or change a plan field
+    of the trace whose metadata is ``meta``."""
     recorded_gpu = meta["gpu"]
-    policy = meta.get("policy", "")
-    changed = [
-        name for name, value in overrides.items()
-        if recorded_gpu.get(name) != value
-    ]
     for name in overrides:
         if name not in _GPU_FIELD_NAMES:
             raise TraceError(f"unknown GPUConfig field {name!r}")
-    if policy not in _CROSS_CONFIG_POLICIES:
-        if changed:
-            raise TraceError(
-                f"{policy!r} traces are pinned to the recorded schedule and "
-                f"replay bit-for-bit at the recorded configuration only; "
-                f"cannot change {sorted(changed)} (record a fresh trace or "
-                f"run live)"
-            )
-        return
-    unsafe = [name for name in changed if name not in REPLAY_SAFE_GPU_FIELDS]
-    if unsafe:
+    changed = sorted(
+        name for name in PLAN_GPU_FIELDS
+        if name in overrides and overrides[name] != recorded_gpu.get(name)
+    )
+    if changed:
         raise TraceError(
-            f"fields {sorted(unsafe)} are replay-unsafe (they change the "
-            f"memory access stream, not just its cost); run those points live"
+            f"fields {changed} change the BVH the trace's plan indexes; "
+            f"record a trace at that configuration or run it live"
         )
+
+
+def layout_digest(bvh) -> str:
+    """Digest of everything the timing engines read from a BVH: item
+    addresses and sizes, treelet ranges and membership, line size and
+    primitive kind."""
+    layout = bvh.layout
+    h = hashlib.sha256(
+        f"{bvh.prim_kind} {layout.config.line_bytes}".encode("ascii")
+    )
+    for array in (
+        layout.item_address, layout.item_bytes, layout.treelet_base,
+        layout.treelet_sizes, bvh.partition.treelet_of_item,
+    ):
+        values = np.ascontiguousarray(array, dtype=np.int64)
+        h.update(len(values).to_bytes(8, "little") + values.tobytes())
+    return h.hexdigest()[:24]

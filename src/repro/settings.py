@@ -101,8 +101,6 @@ KNOBS: Dict[str, Knob] = {
         # -- memory traces --------------------------------------------------------
         Knob("REPRO_TRACE_DIR", "path", None,
              "memory-trace store (default $REPRO_CACHE_DIR/memtrace)"),
-        Knob("REPRO_TRACE_BUDGET_BYTES", "int", 256 * 1024 * 1024,
-             "memory-trace recording size cap (0 = uncapped)", minimum=0),
         # -- simulation service ---------------------------------------------------
         Knob("REPRO_SERVICE_SPOOL", "path", None,
              "job-spool directory (default .cache/service)"),

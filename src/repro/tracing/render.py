@@ -35,7 +35,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro import faults, settings
-from repro.errors import TraceError
 from repro.baselines.prefetch import PrefetchRTUnit
 from repro.core.config import VTQConfig
 from repro.core.rt_unit_vtq import VTQRTUnit
@@ -43,7 +42,7 @@ from repro.core.virtualization import CTATracker, cta_state_bytes
 from repro.gpusim.config import ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
 from repro.gpusim.rt_unit import BaselineRTUnit
-from repro.gpusim.soa import get_plan
+from repro.gpusim.soa import RenderPlan, get_plan
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 
@@ -81,7 +80,7 @@ def render_scene(
     cycle_budget: Optional[float] = None,
     sanitize: Optional[bool] = None,
     record_timeline: bool = False,
-    trace_recorder=None,
+    plan: Optional[RenderPlan] = None,
 ) -> RenderResult:
     """Path trace ``scene`` through the selected timing engine.
 
@@ -92,19 +91,15 @@ def render_scene(
     ``record_timeline`` attaches one
     :class:`repro.gpusim.timeline.ActivityTimeline` per SM (returned in
     ``RenderResult.timelines``) — recording is purely observational and
-    does not change any simulated number.  ``trace_recorder`` attaches a
-    :class:`repro.memtrace.TraceRecorder` (same observational guarantee)
-    that captures the memory transaction stream for later replay.
+    does not change any simulated number.  ``plan`` replays a given
+    render plan (a loaded memory trace's, :mod:`repro.memtrace`) instead
+    of fetching the scene's; ``scene`` then only names the result.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if trace_recorder is not None and trace_recorder.policy != policy:
-        raise TraceError(
-            f"trace recorder was built for policy {trace_recorder.policy!r} "
-            f"but the render runs {policy!r}"
-        )
     config = setup.gpu
-    plan = get_plan(scene, bvh, setup, seed)
+    if plan is None:
+        plan = get_plan(scene, bvh, setup, seed)
 
     shared_l2 = make_shared_l2(config)
     sm_stats = [SimStats() for _ in range(config.num_sms)]
@@ -129,13 +124,7 @@ def render_scene(
             sm, bvh, config, plan, mems[sm], sm_stats[sm], vtq_config, policy,
             next_ray_id, cycle_budget=cycle_budget, timeline=timeline,
         )
-        if trace_recorder is not None:
-            trace_recorder.begin_sm()
-            mems[sm].recorder = trace_recorder
         per_sm_cycles.append(driver.run())
-        if trace_recorder is not None:
-            trace_recorder.end_sm(sm_stats[sm], per_sm_cycles[-1])
-            mems[sm].recorder = None
 
     merged = SimStats()
     for stats in sm_stats:
@@ -381,9 +370,6 @@ class _VTQDriver(_DriverBase):
 
         def charge_save() -> None:
             if vtq.virtualization_overheads:
-                recorder = self.mem.recorder
-                if recorder is not None:
-                    recorder.cta_save()
                 self.mem.cta_state_transfer(state_bytes)
                 engine.cycle += bandwidth_occupancy
             self.stats.cta_saves += 1
@@ -392,9 +378,6 @@ class _VTQDriver(_DriverBase):
             self.stats.cta_restores += 1
             if not vtq.virtualization_overheads:
                 return 0.0
-            recorder = self.mem.recorder
-            if recorder is not None:
-                recorder.cta_restore()
             restore = self.mem.cta_state_transfer(state_bytes)
             engine.cycle += bandwidth_occupancy
             return restore + config.cta_resume_schedule_cycles

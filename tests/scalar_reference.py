@@ -19,7 +19,7 @@ every production-vs-reference check a comparison between two
 independent traversal and timing implementations.
 
 ``reference_render`` takes the same arguments as ``render_scene`` (minus
-the trace recorder) and returns a ``RenderResult``;
+``plan``) and returns a ``RenderResult``;
 ``reference_time_queries`` mirrors ``time_queries``.
 """
 

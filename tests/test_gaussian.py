@@ -23,8 +23,7 @@ from repro.errors import SceneError
 from repro.experiments import default_context
 from repro.experiments.runner import ExperimentContext, scene_and_bvh
 from repro.geometry.gaussian import ALPHA_HIT_MIN, GaussianSet
-from repro.memtrace import replay_trace
-from repro.memtrace.safety import REPLAY_SAFE_GPU_FIELDS
+from repro.memtrace import PLAN_GPU_FIELDS, replay_trace
 from repro.memtrace.store import record_trace
 from repro.scenes import load_scene, scene_names
 from repro.scenes.gaussians import (
@@ -223,13 +222,14 @@ class TestSoABitExactnessOnSplats:
 
 
 # ---------------------------------------------------------------------------
-# leaf-cost model: trace format v2 axes
+# leaf-cost model: replaying a splat trace at new leaf costs
 
 
 class TestLeafCostReplay:
     def test_alpha_cost_axes_are_replay_safe(self):
-        assert "gaussian_alpha_cycles" in REPLAY_SAFE_GPU_FIELDS
-        assert "gaussian_blend_cycles" in REPLAY_SAFE_GPU_FIELDS
+        """The stored plan does not depend on the leaf costs."""
+        assert "gaussian_alpha_cycles" not in PLAN_GPU_FIELDS
+        assert "gaussian_blend_cycles" not in PLAN_GPU_FIELDS
 
     def test_splat_trace_replays_bit_exact_and_reprices(self, ctx):
         scene, bvh = scene_and_bvh("GSPL1", ctx.setup)
@@ -253,8 +253,8 @@ class TestLeafCostReplay:
         assert repriced.stats.snapshot() == fresh.stats.snapshot()
 
     def test_alpha_axes_are_inert_on_triangle_traces(self, ctx):
-        """Triangle workloads carry zero leaf-cost operands, so the new
-        axes replay as no-ops there — old behavior is preserved."""
+        """Triangle workloads pay no leaf costs, so the alpha axes
+        replay as no-ops there."""
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         trace, live = record_trace(
             scene, bvh, ctx.setup, "baseline", scene_name="BUNNY"

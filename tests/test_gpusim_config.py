@@ -53,6 +53,48 @@ class TestValidation:
             GPUConfig(cta_threads=50)
 
 
+# Every latency, cycle-cost and DRAM-timing field of GPUConfig.
+COST_FIELDS = (
+    "l1_latency", "l2_latency", "dram_latency", "dram_line_transfer",
+    "intersection_latency", "miss_serialization_cycles",
+    "raygen_cycles_per_warp", "shade_cycles_per_warp", "cta_launch_cycles",
+    "gaussian_alpha_cycles", "gaussian_blend_cycles",
+    "ray_sort_cycles_per_key", "dram_t_cas", "dram_t_rcd", "dram_t_rp",
+    "dram_base_cycles", "cta_resume_schedule_cycles",
+)
+
+
+class TestCostFields:
+    @pytest.mark.parametrize("name", COST_FIELDS)
+    def test_negative_is_refused(self, name):
+        with pytest.raises(ValueError, match=name):
+            GPUConfig(**{name: -1})
+        with pytest.raises(ValueError, match=name):
+            GPUConfig(**{name: -0.5})
+
+    @pytest.mark.parametrize("name", COST_FIELDS)
+    def test_zero_is_accepted(self, name):
+        assert getattr(GPUConfig(**{name: 0}), name) == 0
+
+    def test_table_covers_every_cost_named_field(self):
+        import dataclasses
+
+        names = {f.name for f in dataclasses.fields(GPUConfig)}
+        costly = {
+            n for n in names
+            if n.endswith(("_latency", "_cycles", "_transfer", "_per_warp",
+                           "_per_key"))
+            or n.startswith("dram_t_")
+        }
+        assert costly == set(COST_FIELDS)
+
+    def test_sweep_override_is_refused(self):
+        import dataclasses
+
+        with pytest.raises(ValueError, match="dram_latency"):
+            dataclasses.replace(scaled_config(), dram_latency=-100)
+
+
 class TestScaling:
     def test_scaled_keeps_latencies(self):
         s = scaled_config()

@@ -1,26 +1,27 @@
-"""Tests for the memory-trace capture & replay subsystem (docs/MEMTRACE.md).
+"""Tests for memory traces: stored render plans (docs/MEMTRACE.md).
 
 The load-bearing guarantees:
 
-* attaching a recorder is purely observational (bit-for-bit identical
-  ``SimStats`` with and without it);
-* a same-config replay reproduces the live run's ``SimStats`` snapshot
-  bit-for-bit for every recordable policy on multiple scenes;
-* a cross-config replay (baseline/prefetch, replay-safe overrides)
-  equals a fresh live run at that configuration exactly;
+* recording a trace is purely observational (bit-for-bit identical
+  ``SimStats`` with and without it), for every policy;
+* a same-config replay reproduces the live run's ``SimStats`` snapshot,
+  cycles and image bit-for-bit for every policy on multiple scenes;
+* for every ``GPUConfig`` field, a replay either refuses a change
+  (exactly ``l1_bytes`` and ``line_bytes``, which change the BVH) or,
+  with the field changed, equals a fresh live run at that configuration;
 * GPU-override sweep points never consult the trace store;
-* replay-unsafe requests are refused with a typed error, never served
-  approximately;
-* a damaged or over-budget trace surfaces as a typed error and the
-  store re-records instead of trusting it.
+* a damaged trace file surfaces as a typed error and the store
+  re-records instead of trusting it.
 """
 
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ConfigError, TraceBudgetExceeded, TraceError
+from repro.errors import TraceError
 from repro.experiments import default_context
 from repro.experiments.runner import (
     ExperimentContext,
@@ -28,8 +29,9 @@ from repro.experiments.runner import (
     run_case,
     scene_and_bvh,
 )
-from repro.gpusim.config import ScaledSetup
+from repro.gpusim.config import GPUConfig, ScaledSetup
 from repro.memtrace import (
+    PLAN_GPU_FIELDS,
     ensure_trace,
     load_trace,
     replay_trace,
@@ -38,8 +40,11 @@ from repro.memtrace import (
     trace_path,
     try_load_trace,
 )
+from repro.memtrace.format import decode_trace, encode_trace
 from repro.memtrace.store import record_trace, trace_key
 from repro.tracing import render_scene
+
+POLICIES = ["baseline", "prefetch", "sorted", "vtq"]
 
 
 @pytest.fixture(scope="module")
@@ -62,42 +67,50 @@ def _record(ctx, scene_name, policy):
     )
 
 
+def _assert_same_run(replayed, live):
+    assert replayed.stats.snapshot() == live.stats.snapshot()
+    assert replayed.cycles == live.cycles
+    assert replayed.per_sm_cycles == live.per_sm_cycles
+    assert replayed.image.tobytes() == live.image.tobytes()
+
+
+def _assert_same_trace(a, b):
+    assert a.meta == b.meta
+    assert a.radiance.tobytes() == b.radiance.tobytes()
+    assert len(a.batches) == len(b.batches)
+    for x, y in zip(a.batches, b.batches):
+        assert x.keys() == y.keys()
+        for name in x:
+            assert x[name].dtype == y[name].dtype
+            assert np.array_equal(x[name], y[name])
+
+
 class TestRecorderIsObservational:
-    @pytest.mark.parametrize("policy", ["baseline", "prefetch", "vtq"])
+    """Recording keeps the plan a render used; it changes nothing."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_recording_changes_nothing(self, ctx, policy):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         plain = render_scene(scene, bvh, ctx.setup, policy=policy)
         _trace, recorded = _record(ctx, "BUNNY", policy)
-        assert recorded.stats.snapshot() == plain.stats.snapshot()
-        assert recorded.cycles == plain.cycles
-        assert recorded.per_sm_cycles == plain.per_sm_cycles
-
-    def test_sorted_policy_is_not_recordable(self):
-        from repro.memtrace import TraceRecorder
-
-        with pytest.raises(TraceError, match="sorted"):
-            TraceRecorder("sorted")
+        _assert_same_run(recorded, plain)
 
 
 class TestSameConfigReplay:
     @pytest.mark.parametrize("scene_name", ["BUNNY", "SPNZA"])
-    @pytest.mark.parametrize("policy", ["baseline", "prefetch", "vtq"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_bit_for_bit(self, ctx, scene_name, policy):
         trace, live = _record(ctx, scene_name, policy)
-        replayed = replay_trace(trace)
-        assert replayed.stats.snapshot() == live.stats.snapshot()
-        assert replayed.cycles == live.cycles
-        assert replayed.per_sm_cycles == live.per_sm_cycles
-        assert replayed.replayed is True
-        assert replayed.replay_wall_s > 0.0
+        _assert_same_run(replay_trace(trace), live)
 
     def test_roundtrip_through_disk(self, ctx, tmp_path):
         trace, live = _record(ctx, "BUNNY", "prefetch")
         path = tmp_path / "t.memtrace"
         nbytes = save_trace(trace, path)
         assert nbytes == path.stat().st_size
-        replayed = replay_trace(load_trace(path))
-        assert replayed.stats.snapshot() == live.stats.snapshot()
+        loaded = load_trace(path)
+        _assert_same_trace(loaded, trace)
+        _assert_same_run(replay_trace(loaded), live)
 
 
 class TestCrossConfigReplay:
@@ -107,35 +120,122 @@ class TestCrossConfigReplay:
         (("l1_latency", 40.0), ("intersection_latency", 12.0)),
     )
 
-    @pytest.mark.parametrize("policy", ["baseline", "prefetch"])
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("overrides", OVERRIDES)
     def test_replay_equals_fresh_live_run(self, ctx, policy, overrides):
         trace, _live = _record(ctx, "BUNNY", policy)
         point = _override_setup(ctx.setup, overrides)
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         fresh = render_scene(scene, bvh, point, policy=policy)
-        replayed = replay_trace(trace, overrides)
-        assert replayed.stats.snapshot() == fresh.stats.snapshot()
-        assert replayed.cycles == fresh.cycles
-        assert replayed.per_sm_cycles == fresh.per_sm_cycles
-
-    def test_vtq_trace_is_pinned(self, ctx):
-        trace, _live = _record(ctx, "BUNNY", "vtq")
-        with pytest.raises(TraceError, match="pinned"):
-            replay_trace(trace, (("l2_latency", 60.0),))
-        # ... but a no-op "override" to the recorded value is fine.
-        recorded = trace.meta["gpu"]["l2_latency"]
-        replay_trace(trace, (("l2_latency", recorded),))
+        _assert_same_run(replay_trace(trace, overrides), fresh)
 
     def test_unsafe_axis_is_refused(self, ctx):
         trace, _live = _record(ctx, "BUNNY", "baseline")
-        with pytest.raises(TraceError, match="replay-unsafe"):
+        with pytest.raises(TraceError, match="change the BVH"):
             replay_trace(trace, (("l1_bytes", 4096),))
 
     def test_unknown_field_is_refused(self, ctx):
         trace, _live = _record(ctx, "BUNNY", "baseline")
         with pytest.raises(TraceError, match="unknown GPUConfig field"):
             replay_trace(trace, (("no_such_field", 1),))
+
+
+# A changed, valid value for every GPUConfig field the plan does not
+# depend on.  A new GPUConfig field fails test_every_field_is_classified
+# until it is added here or to PLAN_GPU_FIELDS.
+CHANGED_VALUES = {
+    "num_sms": 3,
+    "max_warps_per_sm": 16,
+    "warp_size": 16,
+    "max_cta_per_sm": 2,
+    "registers_per_sm": 16384,
+    "l1_latency": 20,
+    "l1_assoc": 4,
+    "l2_bytes": 4 * 1024 * 1024,
+    "l2_latency": 60,
+    "l2_assoc": 4,
+    "rt_units_per_sm": 2,
+    "rt_warp_buffer_size": 2,
+    "dram_latency": 200,
+    "dram_line_transfer": 6,
+    "intersection_latency": 12,
+    "miss_serialization_cycles": 8,
+    "raygen_cycles_per_warp": 200,
+    "shade_cycles_per_warp": 400,
+    "cta_launch_cycles": 90,
+    "cta_threads": 128,
+    "gaussian_alpha_cycles": 20,
+    "gaussian_blend_cycles": 7,
+    "ray_sort_cycles_per_key": 9,
+    "detailed_dram": True,
+    "dram_channels": 4,
+    "dram_banks": 2,
+    "dram_row_bytes": 512,
+    "dram_t_cas": 10,
+    "dram_t_rcd": 90,
+    "dram_t_rp": 5,
+    "dram_base_cycles": 100,
+    "max_virtual_rays_per_sm": 128,
+    "raygen_registers_per_thread": 40,
+    "simt_stack_depth": 6,
+    "cta_resume_schedule_cycles": 300,
+}
+REFUSED_VALUES = {"l1_bytes": 4096, "line_bytes": 64}
+
+
+@pytest.fixture(scope="module")
+def field_traces(ctx):
+    """One trace per (scene, policy) of the field matrix, through disk
+    bytes so the replays read what a file holds."""
+    return {
+        (scene_name, policy): decode_trace(
+            encode_trace(_record(ctx, scene_name, policy)[0])
+        )
+        for scene_name in ("BUNNY", "GSPL1")
+        for policy in POLICIES
+    }
+
+
+class TestPlanFields:
+    """Which GPUConfig fields the stored plan depends on."""
+
+    def test_every_field_is_classified(self):
+        names = {f.name for f in dataclasses.fields(GPUConfig)}
+        assert set(PLAN_GPU_FIELDS) == set(REFUSED_VALUES)
+        assert names == set(CHANGED_VALUES) | set(REFUSED_VALUES)
+
+    @pytest.mark.parametrize("scene_name", ["BUNNY", "GSPL1"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(REFUSED_VALUES))
+    def test_plan_field_change_is_refused(
+        self, field_traces, scene_name, policy, name
+    ):
+        trace = field_traces[(scene_name, policy)]
+        with pytest.raises(TraceError, match=name):
+            replay_trace(trace, {name: REFUSED_VALUES[name]})
+
+    def test_plan_field_at_its_recorded_value_replays(self, ctx, field_traces):
+        trace = field_traces[("BUNNY", "baseline")]
+        same = {name: trace.meta["gpu"][name] for name in REFUSED_VALUES}
+        _trace, live = _record(ctx, "BUNNY", "baseline")
+        _assert_same_run(replay_trace(trace, same), live)
+
+    @pytest.mark.parametrize("scene_name", ["BUNNY", "GSPL1"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_other_field_replays_exactly(
+        self, ctx, field_traces, scene_name, policy
+    ):
+        trace = field_traces[(scene_name, policy)]
+        scene, bvh = scene_and_bvh(scene_name, ctx.setup)
+        for name, value in sorted(CHANGED_VALUES.items()):
+            assert getattr(ctx.setup.gpu, name) != value, name
+            point = _override_setup(ctx.setup, ((name, value),))
+            fresh = render_scene(scene, bvh, point, policy=policy)
+            replayed = replay_trace(trace, {name: value})
+            assert replayed.stats.snapshot() == fresh.stats.snapshot(), name
+            assert replayed.cycles == fresh.cycles, name
+            assert replayed.per_sm_cycles == fresh.per_sm_cycles, name
+            assert replayed.image.tobytes() == fresh.image.tobytes(), name
 
 
 class TestSafetyClassification:
@@ -145,6 +245,13 @@ class TestSafetyClassification:
         assert normalize_overrides([("b", 2), ("a", 1)]) == pairs
         assert normalize_overrides(None) == ()
         assert normalize_overrides(()) == ()
+
+
+def _corrupt_count():
+    from repro.obs import registry
+
+    family = registry().counter("repro_memtrace_traces_total", "", ("event",))
+    return family.labels(event="corrupt").value
 
 
 class TestStoreHardening:
@@ -162,7 +269,7 @@ class TestStoreHardening:
         stamp = path.stat().st_mtime_ns
         again = ensure_trace("BUNNY", "baseline", traced)
         assert path.stat().st_mtime_ns == stamp  # served from the store
-        assert again.meta == first.meta
+        _assert_same_trace(again, first)
 
     def test_flipped_byte_is_typed_and_rerecorded(self, traced, caplog):
         import logging
@@ -190,38 +297,95 @@ class TestStoreHardening:
         with pytest.raises(TraceError):
             load_trace(path)
 
+    def test_wrong_version_file_is_a_counted_miss(self, traced):
+        first = ensure_trace("BUNNY", "vtq", traced)
+        path = trace_path(trace_key("BUNNY", "vtq", traced.setup, None))
+        path.write_bytes(_with_version(path.read_bytes(), b"2"))
+        before = _corrupt_count()
+        again = ensure_trace("BUNNY", "vtq", traced)
+        assert _corrupt_count() == before + 1
+        _assert_same_trace(again, first)
+        _assert_same_trace(load_trace(path), first)  # recorded again
 
-class TestTraceBudget:
-    def test_overrun_is_typed(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "64")
-        with pytest.raises(TraceBudgetExceeded) as exc_info:
-            _record(ctx, "BUNNY", "baseline")
-        err = exc_info.value
-        assert err.limit == 64
-        assert err.observed is not None and err.observed > 64
 
-    def test_partial_trace_is_marked_and_refused(self, ctx, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "64")
-        scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
-        trace, _result = record_trace(
-            scene, bvh, ctx.setup, "baseline",
-            scene_name="BUNNY", allow_partial=True,
-        )
-        assert trace.partial
-        with pytest.raises(TraceError, match="partial"):
-            replay_trace(trace)
-        path = tmp_path / "partial.memtrace"
-        save_trace(trace, path)
-        assert trace_file_info(path)["partial"] is True
+def _with_version(data: bytes, version: bytes) -> bytes:
+    header, _, payload = data.partition(b"\n")
+    magic, _old, digest = header.split(b" ")
+    return b" ".join((magic, version, digest)) + b"\n" + payload
 
-    def test_budget_disabled_by_nonpositive(self, ctx, monkeypatch):
-        """``0`` uncaps recording; a negative budget is refused."""
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "0")
-        trace, _live = _record(ctx, "BUNNY", "baseline")
-        assert not trace.partial
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "-1")
-        with pytest.raises(ConfigError, match="REPRO_TRACE_BUDGET_BYTES"):
-            _record(ctx, "BUNNY", "baseline")
+
+@pytest.fixture(scope="module")
+def small_trace_bytes(ctx):
+    """A one-bounce 4x4 trace, small enough to fuzz."""
+    setup = dataclasses.replace(
+        ctx.setup, image_width=4, image_height=4, max_bounces=0
+    )
+    scene, bvh = scene_and_bvh("BUNNY", setup)
+    trace, _live = record_trace(scene, bvh, setup, "baseline", scene_name="BUNNY")
+    return encode_trace(trace)
+
+
+class TestMalformedFiles:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flips_and_truncations(self, small_trace_bytes, data):
+        original = decode_trace(small_trace_bytes)
+        blob = bytearray(small_trace_bytes)
+        if data.draw(st.booleans(), label="truncate"):
+            cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+            blob = blob[:cut]
+        else:
+            flips = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                    min_size=1, max_size=4,
+                ),
+                label="flips",
+            )
+            for index, mask in flips:
+                blob[index] ^= mask
+        try:
+            loaded = decode_trace(bytes(blob))
+        except TraceError:
+            return
+        _assert_same_trace(loaded, original)
+
+    def test_wrong_version_is_typed(self, small_trace_bytes):
+        with pytest.raises(TraceError, match="version"):
+            decode_trace(_with_version(small_trace_bytes, b"2"))
+
+    @pytest.mark.parametrize("defect", ["short_column", "missing_column", "bad_slot"])
+    def test_checksummed_but_inconsistent_arrays_are_typed(
+        self, small_trace_bytes, defect
+    ):
+        trace = decode_trace(small_trace_bytes)
+        columns = trace.batches[0]
+        if defect == "short_column":
+            columns["tests"] = columns["tests"][:-1]
+        elif defect == "missing_column":
+            del columns["chain_ptr"]
+        else:
+            columns["slots"] = columns["slots"] + trace.meta["pixels"]
+        with pytest.raises(TraceError, match="incomplete"):
+            decode_trace(encode_trace(trace))
+
+    def test_bvh_digest_mismatch_is_typed(self, small_trace_bytes):
+        trace = decode_trace(small_trace_bytes)
+        trace.meta["bvh_digest"] = "0" * 24
+        with pytest.raises(TraceError, match="BVH"):
+            replay_trace(decode_trace(encode_trace(trace)))
+
+    def test_trace_info_on_a_defective_file_exits_2(
+        self, small_trace_bytes, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "bad.memtrace"
+        path.write_bytes(small_trace_bytes[:-7])
+        assert main(["trace", "info", str(path)]) == 2
+        assert "DEFECTIVE" in capsys.readouterr().err
+        assert main(["trace", "info", str(path), "--format", "json"]) == 2
 
 
 class TestTraceFileInfo:
@@ -233,8 +397,9 @@ class TestTraceFileInfo:
         assert info["kind"] == "memory-trace"
         assert info["scene"] == "BUNNY"
         assert info["policy"] == "prefetch"
-        assert info["warps"] == trace.num_warps()
-        assert info["partial"] is False
+        assert info["bounces"] == len(trace.batches)
+        assert info["rays"] == trace.num_rays() > 0
+        assert info["visits"] == trace.num_visits() > info["rays"]
 
     def test_chrome_timeline_kind(self, tmp_path):
         from repro.gpusim.timeline import ActivityTimeline, write_chrome_trace
@@ -377,10 +542,15 @@ class TestCLI:
             ["trace", "replay", str(path), "--set", "l2_latency=60.0"]
         ) == 0
         assert "cycles" in capsys.readouterr().out
-        # Unsafe override: typed refusal, exit 2.
+        # A field the plan depends on: typed refusal, exit 2.
         assert main(
             ["trace", "replay", str(path), "--set", "l1_bytes=4096"]
         ) == 2
+        # A negative cost is refused by GPUConfig itself, exit 2.
+        assert main(
+            ["trace", "replay", str(path), "--set", "dram_latency=-100"]
+        ) == 2
+        assert "dram_latency" in capsys.readouterr().err
 
     def test_parse_overrides_rejects_garbage(self):
         from repro.cli import _parse_overrides

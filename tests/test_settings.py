@@ -166,14 +166,6 @@ class TestFormerMisparses:
         with pytest.raises(ConfigError, match=f"REPRO_SCALE must be .*'{raw}'"):
             default_setup()
 
-    def test_trace_budget_with_a_unit_is_refused(self, ctx, monkeypatch):
-        from repro.memtrace.store import record_trace
-
-        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "1MB")
-        scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
-        with pytest.raises(ConfigError, match="REPRO_TRACE_BUDGET_BYTES.*'1MB'"):
-            record_trace(scene, bvh, ctx.setup, "baseline", scene_name="BUNNY")
-
 
 class TestCheckAllAndEffective:
     def test_check_all_passes_on_a_clean_environment(self):
@@ -207,6 +199,20 @@ class TestCheckAllAndEffective:
         assert stray.stats.snapshot() == plain.stats.snapshot()
         assert stray.image.tobytes() == plain.image.tobytes()
         assert stray.per_sm_cycles == plain.per_sm_cycles
+
+    def test_retired_trace_budget_knob_is_undeclared_and_inert(self, ctx, monkeypatch):
+        """``REPRO_TRACE_BUDGET_BYTES`` no longer exists: traces are
+        stored plans with no recording budget, so a stray setting, even
+        a malformed one, is reported as undeclared and ignored."""
+        from repro.memtrace.store import record_trace
+
+        monkeypatch.setenv("REPRO_TRACE_BUDGET_BYTES", "1MB")
+        settings.check_all()
+        assert settings.effective()["REPRO_TRACE_BUDGET_BYTES"] == {
+            "value": "1MB", "source": "undeclared"}
+        scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
+        trace, _live = record_trace(scene, bvh, ctx.setup, "baseline", scene_name="BUNNY")
+        assert trace.num_rays() > 0
 
     def test_effective_values_and_sources(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "3")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark harness: wall-clock performance of the reproduction itself.
 
-Times a fixed sweep of fast-scene cases through four phases —
+Times a fixed sweep of fast-scene cases through these phases —
 
 * ``bvh_build``      — cold scene + BVH construction per scene,
 * ``kernel``         — render-plan intersection math, scalar loops vs
@@ -18,10 +18,6 @@ Times a fixed sweep of fast-scene cases through four phases —
 * ``parallel_sweep`` — the same list through the parallel executor
                        (``min(cpu_count, 4)`` workers by default) into a
                        fresh disk cache,
-* ``memtrace_replay`` — record one case's memory trace live, verify the
-                       same-config replay is bit-for-bit identical, then
-                       time cross-config replays at two L2 sizes against
-                       the live runs they replace (docs/MEMTRACE.md),
 * ``surrogate_sweep`` — price a small cache x queue grid with the sweep
                        surrogate, then exhaustively, and report the
                        wall-clock ratio and the surrogate's true max
@@ -31,8 +27,7 @@ Times a fixed sweep of fast-scene cases through four phases —
                        the per-scene VTQ speedup the policy table reports,
 
 and writes ``BENCH_<date>.json`` with per-phase wall time, cases/sec and
-speedups (batch kernels vs scalar loops, parallel vs serial, replay vs
-live).  Run from the repository root:
+speedups (batch kernels vs scalar loops, parallel vs serial).  Run from the repository root:
 
     PYTHONPATH=src python tools/bench.py --fast
 
@@ -374,67 +369,6 @@ def bench_parallel(context, specs, jobs):
     }
 
 
-def bench_memtrace_replay(context, reps):
-    """Record one trace live; replay it across L2 sizes vs live re-runs.
-
-    The replay must re-make every recorded memory-model call, so its
-    speedup over a live run is bounded by the share of live wall time
-    the traversal itself takes — expect single-digit factors in this
-    pure-Python simulator, not the orders of magnitude a hardware-rate
-    recorder would see.  Correctness is asserted, not sampled: the
-    same-config replay must match the recording run bit-for-bit.
-    """
-    import dataclasses
-
-    from repro.experiments.runner import scene_and_bvh
-    from repro.memtrace.store import record_trace
-    from repro.memtrace import replay_trace
-    from repro.tracing import render_scene
-
-    scene_name, policy = "BUNNY", "prefetch"
-    scene, bvh = scene_and_bvh(scene_name, context.setup)
-
-    start = time.perf_counter()
-    trace, live = record_trace(
-        scene, bvh, context.setup, policy, scene_name=scene_name
-    )
-    record_s = time.perf_counter() - start
-
-    same = replay_trace(trace, record_obs=False)
-    assert same.stats.snapshot() == live.stats.snapshot(), (
-        "same-config replay diverged from the live run"
-    )
-
-    out = {"case": f"{scene_name}/{policy}", "record_s": record_s, "points": {}}
-    live_total = replay_total = 0.0
-    for l2_bytes in (1 * 1024 * 1024, 4 * 1024 * 1024):
-        overrides = (("l2_bytes", l2_bytes),)
-        point = dataclasses.replace(
-            context.setup,
-            gpu=dataclasses.replace(context.setup.gpu, l2_bytes=l2_bytes),
-        )
-        live_s = _best_of(
-            lambda: render_scene(scene, bvh, point, policy=policy), reps
-        )
-        replay_s = _best_of(
-            lambda: replay_trace(trace, overrides, record_obs=False), reps
-        )
-        fresh = render_scene(scene, bvh, point, policy=policy)
-        replayed = replay_trace(trace, overrides, record_obs=False)
-        assert replayed.stats.snapshot() == fresh.stats.snapshot(), (
-            f"cross-config replay diverged at l2_bytes={l2_bytes}"
-        )
-        live_total += live_s
-        replay_total += replay_s
-        out["points"][f"l2_{l2_bytes}"] = {
-            "live_s": live_s,
-            "replay_s": replay_s,
-            "speedup": live_s / replay_s if replay_s else 0.0,
-        }
-    out["replay_speedup"] = live_total / replay_total if replay_total else 0.0
-    return out
-
-
 def bench_surrogate_sweep(context, seed=3):
     """The surrogate-priced pareto sweep vs pricing its grid exhaustively.
 
@@ -605,11 +539,6 @@ def main(argv=None):
     else:
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
               f"({par['speedup_vs_serial']:.2f}x vs serial)")
-    phases["memtrace_replay"] = bench_memtrace_replay(context, args.reps)
-    replay = phases["memtrace_replay"]
-    print(f"  memtrace_replay: {replay['case']} recorded in "
-          f"{replay['record_s']:.2f}s, replay {replay['replay_speedup']:.2f}x "
-          "vs live across L2 points (bit-for-bit verified)")
     phases["surrogate_sweep"] = bench_surrogate_sweep(context)
     surr = phases["surrogate_sweep"]
     print(f"  surrogate_sweep: {surr['grid_points']} grid points priced "

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""CI smoke test for the memory-trace record/replay subsystem.
+"""CI smoke test for memory traces (stored render plans).
 
 End to end, in one process (docs/MEMTRACE.md):
 
-1. record a small scene's memory trace during a live run (baseline and
-   prefetch),
-2. assert the same-config replay reproduces the live run's ``SimStats``
-   snapshot, cycles and per-SM cycles **bit for bit**,
-3. replay each trace at two L2 sizes and assert each replay equals a
-   fresh live run at that configuration exactly,
-4. assert the refusal paths refuse: vtq cross-config, replay-unsafe
-   axes, partial (budget-truncated) traces.
+1. record a small scene's memory trace under every policy and round-trip
+   it through its file bytes,
+2. replay each trace at two L2 sizes and assert each replay equals a
+   fresh live run at that configuration exactly (``SimStats`` snapshot,
+   cycles, per-SM cycles and image bytes),
+3. assert the refusals refuse with a typed error: ``l1_bytes`` and
+   ``line_bytes`` (they change the BVH) and unknown fields.
 
 Run from the repository root:
 
@@ -18,24 +17,22 @@ Run from the repository root:
 """
 
 import dataclasses
-import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.errors import TraceBudgetExceeded, TraceError  # noqa: E402
-from repro.experiments.runner import (  # noqa: E402
-    ExperimentContext,
-    default_context,
-    scene_and_bvh,
-)
+from repro.errors import TraceError  # noqa: E402
+from repro.experiments.runner import default_context, scene_and_bvh  # noqa: E402
 from repro.memtrace import replay_trace  # noqa: E402
+from repro.memtrace.format import decode_trace, encode_trace  # noqa: E402
 from repro.memtrace.store import record_trace  # noqa: E402
 from repro.tracing import render_scene  # noqa: E402
 
+POLICIES = ("baseline", "prefetch", "sorted", "vtq")
 L2_POINTS = (1 * 1024 * 1024, 4 * 1024 * 1024)
+REFUSED = (("l1_bytes", 4096), ("line_bytes", 64), ("no_such_field", 1))
 
 
 def check(condition, message):
@@ -45,75 +42,48 @@ def check(condition, message):
     print(f"  ok: {message}")
 
 
-def override_setup(setup, **fields):
-    return dataclasses.replace(
-        setup, gpu=dataclasses.replace(setup.gpu, **fields)
+def same_run(a, b):
+    return (
+        a.stats.snapshot() == b.stats.snapshot()
+        and a.cycles == b.cycles
+        and a.per_sm_cycles == b.per_sm_cycles
+        and a.image.tobytes() == b.image.tobytes()
     )
 
 
 def main():
-    base = default_context(fast=True)
-    context = ExperimentContext(
-        setup=base.setup, scene_list=base.scene_list, use_disk_cache=False
-    )
-    scene, bvh = scene_and_bvh("BUNNY", context.setup)
+    setup = default_context(fast=True).setup
+    scene, bvh = scene_and_bvh("BUNNY", setup)
 
-    for policy in ("baseline", "prefetch"):
+    for policy in POLICIES:
         print(f"BUNNY/{policy}:")
-        start = time.perf_counter()
-        trace, live = record_trace(
-            scene, bvh, context.setup, policy, scene_name="BUNNY"
-        )
-        record_s = time.perf_counter() - start
-
-        same = replay_trace(trace)
-        check(
-            same.stats.snapshot() == live.stats.snapshot()
-            and same.cycles == live.cycles
-            and same.per_sm_cycles == live.per_sm_cycles,
-            f"same-config replay is bit-for-bit identical "
-            f"({record_s:.2f}s live, {same.replay_wall_s:.2f}s replay)",
-        )
-
+        trace, _live = record_trace(scene, bvh, setup, policy, scene_name="BUNNY")
+        blob = encode_trace(trace)
+        trace = decode_trace(blob)
         for l2_bytes in L2_POINTS:
-            point = override_setup(context.setup, l2_bytes=l2_bytes)
+            point = dataclasses.replace(
+                setup, gpu=dataclasses.replace(setup.gpu, l2_bytes=l2_bytes)
+            )
+            start = time.perf_counter()
             fresh = render_scene(scene, bvh, point, policy=policy)
+            live_s = time.perf_counter() - start
+            start = time.perf_counter()
             replayed = replay_trace(trace, (("l2_bytes", l2_bytes),))
+            replay_s = time.perf_counter() - start
             check(
-                replayed.stats.snapshot() == fresh.stats.snapshot()
-                and replayed.cycles == fresh.cycles,
-                f"replay at l2_bytes={l2_bytes} equals a fresh live run",
+                same_run(replayed, fresh),
+                f"replay at l2_bytes={l2_bytes} equals a fresh live run "
+                f"({len(blob):,d} byte trace; {live_s:.2f}s live, "
+                f"{replay_s:.2f}s replay)",
             )
 
     print("refusals:")
-    vtq_trace, _ = record_trace(
-        scene, bvh, context.setup, "vtq", scene_name="BUNNY"
-    )
-    check(
-        replay_trace(vtq_trace).stats.snapshot() is not None,
-        "vtq same-config replay works",
-    )
-    try:
-        replay_trace(vtq_trace, (("l2_bytes", L2_POINTS[0]),))
-        check(False, "vtq cross-config replay must be refused")
-    except TraceError:
-        check(True, "vtq cross-config replay refused with TraceError")
-    baseline_trace, _ = record_trace(
-        scene, bvh, context.setup, "baseline", scene_name="BUNNY"
-    )
-    try:
-        replay_trace(baseline_trace, (("l1_bytes", 4096),))
-        check(False, "replay-unsafe axis must be refused")
-    except TraceError:
-        check(True, "replay-unsafe axis refused with TraceError")
-    os.environ["REPRO_TRACE_BUDGET_BYTES"] = "64"
-    try:
-        record_trace(scene, bvh, context.setup, "baseline", scene_name="BUNNY")
-        check(False, "over-budget recording must raise")
-    except TraceBudgetExceeded as exc:
-        check(exc.limit == 64, "over-budget recording raises with its limit")
-    finally:
-        del os.environ["REPRO_TRACE_BUDGET_BYTES"]
+    for name, value in REFUSED:
+        try:
+            replay_trace(trace, ((name, value),))
+            check(False, f"{name}={value} must be refused")
+        except TraceError:
+            check(True, f"{name}={value} refused with TraceError")
 
     print("replay smoke: PASS")
     return 0
